@@ -506,6 +506,13 @@ def _run_obs(args) -> int:
         if args.quantiles:
             print()
             print(tel.tracer.render_quantiles())
+        snap = tel.registry.snapshot()
+        slots = snap["repro_engine_memory_slots"]["series"][0]["value"]
+        live = snap["repro_engine_memory_live_ratio"]["series"][0]["value"]
+        print(
+            f"Engine k-NN memory ring: {slots:.0f} slots/stream, "
+            f"{live:.1%} live"
+        )
         _print_event_tail(tel.events, args.events)
         print(
             f"served {n} streams x {ticks} ticks in {elapsed:.2f}s "

@@ -16,7 +16,11 @@ same tick *fleet-wide*:
   ``(n_streams, capacity, d)`` tensor (ring layout by absolute row
   index) with cached squared norms, so the fleet's N single-point
   queries become one batched distance computation plus one
-  deterministic top-k selection (:mod:`repro.learn.topk`);
+  deterministic top-k selection (:mod:`repro.learn.topk`). The ring
+  doubles as memories deepen but never grows past ``max_memory``
+  slots, so a full memory overwrites the slot of the row it evicts in
+  place; dead slots carry a ``+inf`` cached norm, which makes their
+  distance ``+inf`` without a per-query liveness mask;
 * classifier-selected predictors are dispatched *grouped by member*
   (:mod:`repro.predictors.stacked`): LAST, AR, and SW_AVG each run once
   over all streams that selected them;
@@ -174,12 +178,14 @@ class BatchedTickEngine:
         # array whenever the requested shape still matches, so the
         # steady-state tick allocates nothing.
         self._scratch: dict[str, np.ndarray] = {}
-        # The ring tracks the deepest stream's live memory, not the
-        # configured cap: distances are computed over every slot (dead
-        # ones masked), so padding the ring to max_memory up front would
-        # multiply the per-tick work while memories are still shallow.
-        # _grow_memory doubles it as streams accumulate rows.
-        self._mem_cap = _pow2_at_least(2 * self._k)
+        # Distances are computed over every ring slot, so the ring is
+        # only as wide as the live memories need: _grow_memory doubles
+        # it as streams accumulate rows, but never past max_memory (the
+        # most rows a memory keeps after its learn-time eviction). A
+        # full memory then overwrites the slot of the row it evicts.
+        # Dead slots hold a +inf cached norm (_mem_bb).
+        self._mem_bound = cfg.max_memory
+        self._mem_cap = self._ring_width(self._k)
         self._alloc(_MIN_ROW_CAPACITY)
 
     # -- storage ------------------------------------------------------------
@@ -201,11 +207,11 @@ class BatchedTickEngine:
         self._qa_ring = np.zeros((row_cap, self._qa_window), dtype=np.float64)
         self._qa_count = np.zeros(row_cap, dtype=np.int64)
         self._qa_step = np.zeros(row_cap, dtype=np.int64)
-        # Dead ring slots flow through the batched distance computation
-        # before being masked out, so they must hold finite values.
+        # Dead ring slots flow through the batched distance computation:
+        # finite features plus a +inf norm give them a +inf distance.
         self._mem_x = np.zeros((row_cap, cap, d), dtype=np.float64)
         self._mem_y = np.empty((row_cap, cap), dtype=np.int64)
-        self._mem_bb = np.zeros((row_cap, cap), dtype=np.float64)
+        self._mem_bb = np.full((row_cap, cap), np.inf, dtype=np.float64)
         self._mem_abs = np.full((row_cap, cap), -1, dtype=np.int64)
         self._mem_lo = np.zeros(row_cap, dtype=np.int64)
         self._mem_hi = np.zeros(row_cap, dtype=np.int64)
@@ -223,18 +229,48 @@ class BatchedTickEngine:
         for dst, src in zip(self._row_arrays(), old):
             dst[:n] = src[:n]
 
+    def _ring_width(self, needed: int) -> int:
+        """Ring slots for *needed* live rows: doubled, capped at max_memory.
+
+        Only a classifier mutated outside the fleet can hold more than
+        ``max_memory`` live rows; the ring then widens to hold them all.
+        """
+        width = _pow2_at_least(needed)
+        bound = self._mem_bound
+        if bound is not None and width > bound:
+            width = max(bound, needed)
+        return width
+
     def _grow_memory(self, needed: int) -> None:
         """Widen the per-stream memory mirror; rows reload lazily."""
-        self._mem_cap = _pow2_at_least(needed)
+        self._mem_cap = self._ring_width(needed)
         row_cap = self._tails.shape[0]
         self._mem_x = np.zeros(
             (row_cap, self._mem_cap, self._n_features), dtype=np.float64
         )
         self._mem_y = np.empty((row_cap, self._mem_cap), dtype=np.int64)
-        self._mem_bb = np.zeros((row_cap, self._mem_cap), dtype=np.float64)
+        self._mem_bb = np.full(
+            (row_cap, self._mem_cap), np.inf, dtype=np.float64
+        )
         self._mem_abs = np.full((row_cap, self._mem_cap), -1, dtype=np.int64)
         for entry in self._rows:
             entry.generation = -1  # force a full reload on next sync
+
+    def _kill_dead(self, rows) -> None:
+        """Give every slot holding a retired row a +inf cached norm."""
+        dead = self._mem_abs[rows] < self._mem_lo[rows, None]
+        if dead.any():
+            bb = self._mem_bb[rows]
+            bb[dead] = np.inf
+            self._mem_bb[rows] = bb
+
+    def memory_occupancy(self) -> tuple[int, float]:
+        """``(ring slots, live rows / (attached rows x slots))``."""
+        n = len(self._rows)
+        if not n:
+            return self._mem_cap, 0.0
+        live = int((self._mem_hi[:n] - self._mem_lo[:n]).sum())
+        return self._mem_cap, live / (n * self._mem_cap)
 
     def _buf(self, name: str, shape: tuple) -> np.ndarray:
         """A recycled float64 scratch array (fresh when gather_free off)."""
@@ -243,15 +279,6 @@ class BatchedTickEngine:
         buf = self._scratch.get(name)
         if buf is None or buf.shape != shape:
             buf = np.empty(shape, dtype=np.float64)
-            self._scratch[name] = buf
-        return buf
-
-    def _buf_bool(self, name: str, shape: tuple) -> np.ndarray:
-        if not self.gather_free:
-            return np.empty(shape, dtype=bool)
-        buf = self._scratch.get(name)
-        if buf is None or buf.shape != shape:
-            buf = np.empty(shape, dtype=bool)
             self._scratch[name] = buf
         return buf
 
@@ -381,6 +408,10 @@ class BatchedTickEngine:
             return False
         if pool[1].order != self._ar_order or pool[2].window is not None:
             return False
+        # The ring's max_memory bound holds only for memories that
+        # evict at the fleet's cap.
+        if predictor.max_memory != self._mem_bound:
+            return False
         pca = predictor._runner.pipeline.pca
         if pca is None:
             return self._n_features == self._window
@@ -398,6 +429,7 @@ class BatchedTickEngine:
         slots = abs_idx % self._mem_cap
         self._mem_abs[row] = -1
         self._mem_abs[row, slots] = abs_idx
+        self._mem_bb[row] = np.inf
         self._mem_x[row, slots] = clf._X
         self._mem_y[row, slots] = clf._y
         self._mem_bb[row, slots] = np.einsum("ij,ij->i", clf._X, clf._X)
@@ -428,6 +460,7 @@ class BatchedTickEngine:
         """
         demoted: list[_Entry] = []
         qa_live = self.gather_free
+        cap = self._mem_cap
         for entry in self._rows:
             clf = entry.classifier
             if clf._tree is not None or clf._resolve_backend() != "brute":
@@ -445,10 +478,8 @@ class BatchedTickEngine:
             appended = clf.appended_total_
             if appended != entry.synced_appended:
                 rows_x, rows_y, first = clf.rows_since(entry.synced_appended)
-                if first + rows_x.shape[0] - clf.discarded_total_ > self._mem_cap:
-                    self._grow_memory(
-                        clf.appended_total_ - clf.discarded_total_
-                    )
+                if appended - clf.discarded_total_ > self._mem_cap:
+                    self._grow_memory(appended - clf.discarded_total_)
                     self._reload_memory(entry)
                     continue
                 abs_idx = np.arange(
@@ -463,7 +494,17 @@ class BatchedTickEngine:
                     "ij,ij->i", rows_x, rows_x
                 )
                 entry.synced_appended = appended
-            self._mem_lo[entry.row] = clf.discarded_total_
+            if clf.discarded_total_ != self._mem_lo[entry.row]:
+                # Rows retired outside the engine (e.g. discard_oldest).
+                self._mem_lo[entry.row] = clf.discarded_total_
+                self._kill_dead([entry.row])
+        if self._mem_cap != cap:
+            # A widening wiped the rows synced before it.
+            for entry in self._rows:
+                if entry not in demoted and (
+                    entry.generation != entry.classifier.store_generation
+                ):
+                    self._reload_memory(entry)
         for entry in demoted:
             self._detach(entry)
         return demoted
@@ -484,11 +525,7 @@ class BatchedTickEngine:
         np.multiply(cross, 2.0, out=cross)
         np.subtract(d2, cross, out=d2)
         np.maximum(d2, 0.0, out=d2)
-        mem_abs = self._mem_abs[sel]
-        dead = self._buf_bool("dead", (n, cap))
-        np.less(mem_abs, self._mem_lo[sel, None], out=dead)
-        d2[dead] = np.inf
-        _, slots = lexicographic_topk(d2, self._k, tie_keys=mem_abs)
+        _, slots = lexicographic_topk(d2, self._k, tie_keys=self._mem_abs[sel])
         neighbor_labels = np.take_along_axis(self._mem_y[sel], slots, axis=1)
         return majority_vote(neighbor_labels)
 
@@ -816,11 +853,17 @@ class BatchedTickEngine:
             tracer.record("tick.label_pool", t3 - t2, batch=n, start=t2)
 
         # 4. Learn: append the (feature, label) pair to each classifier
-        # and mirror it into the stacked memory with one scatter.
+        # and mirror it into the stacked memory with one scatter. The ring
+        # must hold each memory's rows after its eviction, at most
+        # max_memory: a full memory writes into the slot it evicts.
         feats = self._features(sel, frames)
         hi = self._mem_hi[rows]
-        if int((hi + 1 - self._mem_lo[rows]).max()) > self._mem_cap:
-            self._grow_memory(int((hi + 1 - self._mem_lo[rows]).max()))
+        needed = int((hi + 1 - self._mem_lo[rows]).max())
+        bound = self._mem_bound
+        if bound is not None:
+            needed = min(needed, bound)
+        if needed > self._mem_cap:
+            self._grow_memory(needed)
         slots = hi % self._mem_cap
         self._mem_x[rows, slots] = feats
         self._mem_y[rows, slots] = labels
@@ -851,6 +894,10 @@ class BatchedTickEngine:
             state.ticks += 1
             if state.qa.retraining_due:
                 fleet._schedule(state, initial=False)
+        if bound is not None and self._mem_cap > bound:
+            # Only a ring widened past max_memory (see _ring_width) can
+            # keep an evicted row in a slot no new row overwrote.
+            self._kill_dead(rows)
         if tracer is not None:
             tracer.record(
                 "tick.memory_learn", perf_counter() - t3, batch=n, start=t3

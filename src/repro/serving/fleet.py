@@ -455,6 +455,7 @@ class _FleetInstruments:
         "ticks", "observations", "forecasts", "audits", "breaches",
         "trains", "retrains", "deferrals", "streams", "trained", "pending",
         "inflight", "cache_hits", "cache_misses", "cache_spliced",
+        "memory_slots", "memory_live_ratio",
     )
 
     def __init__(self, registry):
@@ -509,6 +510,14 @@ class _FleetInstruments:
         self.inflight = registry.gauge(
             "repro_fleet_retrains_inflight",
             "Streams whose retrain burst is currently running in flight.",
+        )
+        self.memory_slots = registry.gauge(
+            "repro_engine_memory_slots",
+            "Slots per stream in the batched engine's k-NN memory ring.",
+        )
+        self.memory_live_ratio = registry.gauge(
+            "repro_engine_memory_live_ratio",
+            "Live k-NN memory rows / (engine rows x ring slots).",
         )
 
 
@@ -611,6 +620,7 @@ class PredictionFleet:
         )
         if self._tel is not None:
             self._tel.registry.add_collector(self._flush_selections)
+            self._tel.registry.add_collector(self._collect_engine_memory)
         for name in streams:
             self.add_stream(name)
 
@@ -1511,6 +1521,18 @@ class PredictionFleet:
                     counters[key] = counter
                 counter.inc(count - done)
                 flushed[key] = count
+
+    def _collect_engine_memory(self) -> None:
+        """Settle the engine's memory-ring occupancy gauges.
+
+        A registry collector, like :meth:`_flush_selections`: computed
+        on scrape, so the tick pays nothing for it.
+        """
+        if self._m is None or self._engine is None:
+            return
+        slots, live_ratio = self._engine.memory_occupancy()
+        self._m.memory_slots.set(slots)
+        self._m.memory_live_ratio.set(live_ratio)
 
     def _note_audit(self, name: str, audit: "AuditRecord | None") -> None:
         """Record one QA audit (and breach) with the telemetry, if any.

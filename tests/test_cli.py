@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,20 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--version"])
         assert exc.value.code == 0
+        from repro import __version__
+
+        assert capsys.readouterr().out.strip() == f"repro {__version__}"
+
+    def test_pyproject_reads_the_package_version(self):
+        """One version number: pyproject.toml takes it from the package."""
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            meta = tomllib.load(fh)
+        assert "version" not in meta["project"]
+        assert "version" in meta["project"]["dynamic"]
+        dynamic = meta["tool"]["setuptools"]["dynamic"]["version"]
+        assert dynamic == {"attr": "repro._version.__version__"}
 
 
 class TestArtifactCommands:
@@ -160,6 +176,7 @@ class TestObsCommand:
         assert "Phase spans" in out
         assert "tick.knn_query" in out
         assert "train.pca_eigh" in out
+        assert "Engine k-NN memory ring:" in out
         assert "Events:" in out
 
     def test_prom_format_parses(self, capsys):
@@ -170,6 +187,8 @@ class TestObsCommand:
 
         parsed = parse_prometheus_text(capsys.readouterr().out)
         assert parsed[("repro_fleet_streams", ())] == 4.0
+        assert parsed[("repro_engine_memory_slots", ())] > 0
+        assert 0.0 < parsed[("repro_engine_memory_live_ratio", ())] <= 1.0
 
     def test_json_format(self, capsys):
         import json

@@ -9,6 +9,8 @@ fleets through identical feeds, one per path, and compare everything.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import LARConfig
 from repro.core.online import OnlineLARPredictor
@@ -376,6 +378,210 @@ class TestGatherFree:
         assert not fast._engine.serves("b")
         assert fast._engine.serves("a")
         _assert_same_state(fast, loop)
+
+
+def _assert_ring_consistent(fleet):
+    """Every live memory row sits in the ring; only live slots are finite.
+
+    Holds after any ``prepare`` (``forecast_all`` runs one first).
+    """
+    engine = fleet._engine
+    for entry in engine._rows:
+        clf = entry.classifier
+        lo, hi = clf.discarded_total_, clf.appended_total_
+        mem_abs = engine._mem_abs[entry.row]
+        live = (mem_abs >= lo) & (mem_abs < hi)
+        assert int(live.sum()) == hi - lo, entry.name
+        np.testing.assert_array_equal(
+            np.isfinite(engine._mem_bb[entry.row]), live, err_msg=entry.name
+        )
+
+
+def _drive_ring(config, feed, ticks, names, *, before_tick=None):
+    """``_drive`` plus ring checks: consistency and the max_memory cap."""
+    batched = PredictionFleet(config, streams=names)
+    loop = PredictionFleet(config, streams=names)
+    widest = 0
+    for t in range(ticks):
+        if before_tick is not None:
+            before_tick(t, batched, loop)
+        vals = feed(t, names)
+        fa = batched.forecast_all(batched=True)
+        fb = loop.forecast_all(batched=False)
+        assert fa == fb, f"forecast mismatch at tick {t}"
+        if batched._engine is not None and batched._engine._rows:
+            _assert_ring_consistent(batched)
+            widest = max(widest, batched._engine._mem_cap)
+        la = batched.ingest(vals, batched=True)
+        lb = loop.ingest(vals, batched=False)
+        assert la == lb, f"learned-label mismatch at tick {t}"
+    _assert_same_state(batched, loop)
+    return batched, loop, widest
+
+
+class TestBoundedMemoryRing:
+    """The engine's k-NN memory ring is capped at ``max_memory`` slots:
+    a full memory overwrites the slot of the row it evicts, and dead
+    slots are marked by a ``+inf`` cached norm instead of a per-read
+    mask. Results must stay bit-identical to the per-stream loop."""
+
+    @pytest.mark.parametrize("max_memory", [8, 12, 64, 100])
+    def test_ring_width_reaches_exactly_max_memory(self, max_memory):
+        # 8 (= 2k for the default k=3) and 64 are reached by doubling
+        # alone; 12 and 100 cut a doubling short.
+        config = FleetConfig(qa_threshold=50.0, max_memory=max_memory)
+        names = [f"s{i}" for i in range(4)]
+        _, _, widest = _drive_ring(config, _walk_feed(seed=21), 140, names)
+        assert widest == max_memory
+
+    def test_ring_doubles_below_the_cap(self):
+        config = FleetConfig(qa_threshold=50.0, max_memory=None)
+        names = ["a", "b"]
+        fleet, _, widest = _drive_ring(config, _walk_feed(seed=22), 90, names)
+        live = max(
+            e.classifier.appended_total_ - e.classifier.discarded_total_
+            for e in fleet._engine._rows
+        )
+        assert widest == fleet._engine._mem_cap
+        assert widest >= live and widest & (widest - 1) == 0
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        max_memory=st.integers(min_value=3, max_value=40),
+        n_streams=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_parity_across_the_full_memory_wrap(
+        self, seed, max_memory, n_streams
+    ):
+        """Memories wrap the ring many times over; each learn writes
+        into the slot its eviction frees."""
+        config = FleetConfig(
+            lar=LARConfig(window=5), min_train=20, qa_threshold=50.0,
+            max_memory=max_memory,
+        )
+        names = [f"s{i}" for i in range(n_streams)]
+        fleet, _, widest = _drive_ring(
+            config, _walk_feed(seed=seed), 20 + 3 * max_memory, names
+        )
+        assert widest == max_memory
+        assert fleet.metrics().n_trained == n_streams
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=6, deadline=None)
+    def test_parity_with_rows_shortened_by_retrains(self, seed):
+        """A retrain's memory holds fewer rows than the ring is wide, so
+        its row reloads with dead slots that later learns fill."""
+        config = FleetConfig(
+            max_memory=48, qa_threshold=0.5, audit_window=16,
+            audit_interval=4, retrain_window=30, history_limit=256,
+        )
+        rng = np.random.default_rng(seed)
+        state = {}
+        short_rows = []
+
+        def feed(t, names):
+            drift = 0.6 if (t // 60) % 2 else 0.02
+            for n in names:
+                state[n] = (
+                    state.get(n, 0.0)
+                    + 0.2 * float(rng.standard_normal()) + drift
+                )
+            return dict(state)
+
+        def note_short_rows(t, batched, loop):
+            engine = batched._engine
+            if engine is not None and engine._rows:
+                slots, live_ratio = engine.memory_occupancy()
+                short_rows.append(slots == 48 and live_ratio < 1.0)
+
+        batched, _, widest = _drive_ring(
+            config, feed, 200, [f"s{i}" for i in range(4)],
+            before_tick=note_short_rows,
+        )
+        assert batched.metrics().total_retrains > 0
+        assert widest == 48
+        # Initial memories start full, so short rows come from retrains.
+        assert any(short_rows)
+
+    def test_parity_after_outside_discard_oldest(self):
+        config = FleetConfig(qa_threshold=50.0, max_memory=16)
+
+        def discard(t, batched, loop):
+            if t in (80, 95):
+                for fleet in (batched, loop):
+                    fleet._streams["s1"].predictor._classifier.discard_oldest(
+                        10
+                    )
+
+        batched, _, widest = _drive_ring(
+            config, _walk_feed(seed=23), 130, ["s0", "s1", "s2"],
+            before_tick=discard,
+        )
+        assert widest == 16
+
+    def test_parity_when_outside_rows_widen_the_ring(self):
+        """Rows appended outside the fleet can push one memory past
+        max_memory; the ring widens to hold them, the rows synced before
+        the widening are reloaded, and the next learn's multi-row
+        eviction leaves dead slots that are masked by their norms."""
+        config = FleetConfig(qa_threshold=50.0, max_memory=12)
+        extra = np.random.default_rng(24).normal(size=(30, 2))
+
+        def append(t, batched, loop):
+            if t == 80:
+                for fleet in (batched, loop):
+                    clf = fleet._streams["s2"].predictor._classifier
+                    clf.partial_fit(extra, np.resize(clf._y, extra.shape[0]))
+
+        batched, _, widest = _drive_ring(
+            config, _walk_feed(seed=25), 110, ["s0", "s1", "s2", "s3"],
+            before_tick=append,
+        )
+        assert widest > 12
+
+    def test_stream_with_its_own_max_memory_falls_back(self):
+        """A memory capped differently from the fleet (e.g. restored
+        from an archive of another config) would outgrow the ring."""
+        config = FleetConfig(qa_threshold=50.0, max_memory=12)
+        names = ["a", "b", "c"]
+        fast = PredictionFleet(config, streams=names)
+        loop = PredictionFleet(config, streams=names)
+        feed = _walk_feed(seed=27)
+        for t in range(70):
+            vals = feed(t, names)
+            for fleet in (fast, loop):
+                fleet.ingest(vals, batched=False)
+        for fleet in (fast, loop):
+            fleet._streams["b"].predictor.max_memory = 40
+        for t in range(70, 120):
+            vals = feed(t, names)
+            assert fast.forecast_all(batched=True) == loop.forecast_all(
+                batched=False
+            )
+            assert fast.ingest(vals, batched=True) == loop.ingest(
+                vals, batched=False
+            )
+        assert not fast._engine.serves("b")
+        assert fast._engine.serves("a")
+        _assert_same_state(fast, loop)
+
+    def test_occupancy_gauges_on_scrape(self):
+        from repro.obs import Telemetry
+
+        config = FleetConfig(qa_threshold=50.0, max_memory=12)
+        names = ["a", "b", "c"]
+        tel = Telemetry()
+        fleet = PredictionFleet(config, streams=names, telemetry=tel)
+        feed = _walk_feed(seed=26)
+        for t in range(90):
+            fleet.forecast_all()
+            fleet.ingest(feed(t, names))
+        metrics = tel.registry.snapshot()
+        slots = metrics["repro_engine_memory_slots"]["series"][0]["value"]
+        ratio = metrics["repro_engine_memory_live_ratio"]["series"][0]
+        assert slots == 12
+        assert ratio["value"] == 1.0
 
 
 class TestVectorizedMajorityVote:
