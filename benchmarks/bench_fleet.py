@@ -102,9 +102,11 @@ def _serve_interleaved(fleets: dict, feeds: dict) -> dict:
     tick granularity lands the drift on every mode almost evenly: each
     mode's ticks are at most one tick away in time from every other
     mode's. Payload dicts are built outside the timed region, and the
-    within-tick order flips every tick so cache-warming from the
-    previous mode's serve is shared around too. Returns per-mode
-    seconds.
+    within-tick order rotates every tick, so each mode runs in every
+    position and after every other mode equally often: with three or
+    more modes, merely reversing the order would keep the middle mode
+    always in the middle and hand the outer ones a back-to-back serve
+    (warm caches) every other tick. Returns per-mode seconds.
     """
     elapsed = dict.fromkeys(fleets, 0.0)
     order = list(fleets)
@@ -122,7 +124,7 @@ def _serve_interleaved(fleets: dict, feeds: dict) -> dict:
             fleet.forecast_all()
             fleet.ingest(payloads[mode])
             elapsed[mode] += perf_counter() - start
-        order.reverse()
+        order = order[1:] + order[:1]
     return elapsed
 
 
@@ -206,9 +208,7 @@ def _deep_feed_length() -> int:
     return WARMUP + DEEP_MAX_MEMORY + 2 * (DEEP_ROUNDS + 1) * DEEP_TICKS
 
 
-def _warm_deep_fleet(
-    feeds: dict, *, gather_free: bool
-) -> "tuple[PredictionFleet, int]":
+def _warm_deep_fleet(feeds: dict) -> "tuple[PredictionFleet, int]":
     """A fleet at deep-memory steady state: every memory at max_memory."""
     config = FleetConfig(
         lar=LARConfig(window=5),
@@ -218,37 +218,39 @@ def _warm_deep_fleet(
         parallel=ParallelConfig(),
     )
     fleet = PredictionFleet(config, streams=feeds)
-    fleet._get_engine().gather_free = gather_free
     names = fleet.stream_names
 
     def full() -> bool:
         return all(
-            s.predictor is not None
-            and s.predictor._classifier.n_samples_ >= DEEP_MAX_MEMORY
-            for s in fleet._streams.values()
+            m.trained and m.memory_size >= DEEP_MAX_MEMORY
+            for m in fleet.metrics().streams
         )
 
     t = 0
-    while not full():
+    while t < WARMUP + DEEP_MAX_MEMORY or not full():
         fleet.ingest({name: feeds[name][t] for name in names})
         t += 1
         assert t < WARMUP + 2 * DEEP_MAX_MEMORY, "memories failed to fill"
     return fleet, t
 
 
-def test_gather_free_deep_memory_gate(capsys):
-    """CI gate: gather-free kernels >= 1.3x over the legacy engine mode.
+#: The engine's deep-memory speedup over the per-stream loop must stay
+#: at least this large (about half the 52x measured on a 2-core dev box).
+DEEP_MIN_SPEEDUP = 27.0
 
-    Both modes run the *batched* engine over identical deep-memory
-    fleets (memories at ``max_memory``, so every tick pays the full
-    distance kernel plus one learn + evict per stream); legacy mode
-    (``gather_free=False``) is the pre-PR engine — fancy-index gathers,
-    fresh per-tick allocations, per-stream QA ``record`` and telemetry
-    notes, per-stream classifier appends. The two are bit-identical
-    (pinned in ``tests/test_serving_engine.py``), so the only thing
-    this measures is the fast path's constant factor. Modes are timed
-    interleaved so clock drift lands on both sides evenly. Results are
-    recorded in ``BENCH_fleet.json``.
+
+def test_gather_free_deep_memory_gate(capsys):
+    """CI gate: the batched engine >= 27x over the per-stream loop.
+
+    Both paths serve identical deep-memory fleets (memories at
+    ``max_memory``, so every tick pays the full distance kernel plus one
+    learn + evict per stream): one through the batched tick engine, one
+    through the per-stream loop (``batched=False``) — the reference
+    oracle the two are bit-identical to (pinned in
+    ``tests/test_serving_engine.py``), so this measures only the
+    engine's constant factor. Paths are timed interleaved so clock
+    drift lands on both sides evenly. Results are recorded in
+    ``BENCH_fleet.json``.
     """
     n = min(DEEP_STREAMS, int(os.environ.get("FLEET_BENCH_MAX_STREAMS", DEEP_STREAMS)))
     length = _deep_feed_length()
@@ -256,25 +258,26 @@ def test_gather_free_deep_memory_gate(capsys):
         f"s{i:04d}": 10.0 + 3.0 * ar1_series(length, phi=0.85, seed=i)
         for i in range(n)
     }
-    fast, t_fast = _warm_deep_fleet(feeds, gather_free=True)
-    legacy, t_legacy = _warm_deep_fleet(feeds, gather_free=False)
-    assert t_fast == t_legacy
-    clocks = {"fast": t_fast, "legacy": t_legacy}
-    fleets = {"fast": fast, "legacy": legacy}
+    engine, t_engine = _warm_deep_fleet(feeds)
+    loop, t_loop = _warm_deep_fleet(feeds)
+    assert t_engine == t_loop
+    clocks = {"engine": t_engine, "loop": t_loop}
+    fleets = {"engine": engine, "loop": loop}
 
     def serve_ticks(mode: str) -> float:
         fleet, start = fleets[mode], clocks[mode]
         names = fleet.stream_names
+        batched = mode == "engine"
         elapsed = perf_counter()
         for t in range(start, start + DEEP_TICKS):
-            fleet.forecast_all(batched=True)
+            fleet.forecast_all(batched=batched)
             fleet.ingest(
-                {name: feeds[name][t] for name in names}, batched=True
+                {name: feeds[name][t] for name in names}, batched=batched
             )
         clocks[mode] = start + DEEP_TICKS
         return perf_counter() - elapsed
 
-    # One untimed round per mode settles allocators and scratch caches.
+    # One untimed round per path settles allocators and scratch caches.
     for mode in fleets:
         serve_ticks(mode)
     totals = dict.fromkeys(fleets, 0.0)
@@ -284,15 +287,15 @@ def test_gather_free_deep_memory_gate(capsys):
 
     ticks = DEEP_ROUNDS * DEEP_TICKS
     throughput = {mode: n * ticks / totals[mode] for mode in fleets}
-    speedup = totals["legacy"] / totals["fast"]
+    speedup = totals["loop"] / totals["engine"]
     emit(
         capsys,
         format_table(
-            ["engine mode", "serve seconds", "stream-ticks/sec", "speedup"],
+            ["path", "serve seconds", "stream-ticks/sec", "speedup"],
             [
-                ["legacy (pre-PR batched)", totals["legacy"],
-                 throughput["legacy"], 1.0],
-                ["gather-free", totals["fast"], throughput["fast"], speedup],
+                ["per-stream loop", totals["loop"], throughput["loop"], 1.0],
+                ["batched engine", totals["engine"], throughput["engine"],
+                 speedup],
             ],
             precision=2,
             title=(
@@ -314,7 +317,7 @@ def test_gather_free_deep_memory_gate(capsys):
                         "serve_seconds": totals[mode],
                         "stream_ticks_per_sec": throughput[mode],
                     }
-                    for mode in ("legacy", "fast")
+                    for mode in ("loop", "engine")
                 ],
                 "speedup": speedup,
             },
@@ -322,9 +325,10 @@ def test_gather_free_deep_memory_gate(capsys):
         )
         + "\n"
     )
-    assert speedup >= 1.3, (
-        f"gather-free path is only {speedup:.2f}x over the legacy engine "
-        f"mode at {n} streams x {DEEP_MAX_MEMORY} memories (gate: 1.3x)"
+    assert speedup >= DEEP_MIN_SPEEDUP, (
+        f"batched engine is only {speedup:.2f}x over the per-stream loop "
+        f"at {n} streams x {DEEP_MAX_MEMORY} memories "
+        f"(gate: {DEEP_MIN_SPEEDUP}x)"
     )
 
 
@@ -352,7 +356,7 @@ def test_telemetry_overhead_gate(capsys):
     from repro.obs import Telemetry
 
     n = 500
-    rounds = 8
+    rounds = 16
     feeds = _build_feeds(n)
     fleets = {
         "off": _warm_fleet(feeds),
@@ -411,7 +415,7 @@ def test_flight_recorder_overhead_gate(capsys):
     from repro.obs import Telemetry
 
     n = 500
-    rounds = 8
+    rounds = 16
     feeds = _build_feeds(n)
     fleets = {
         "off": _warm_fleet(feeds),

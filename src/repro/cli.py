@@ -513,6 +513,17 @@ def _run_obs(args) -> int:
             f"Engine k-NN memory ring: {slots:.0f} slots/stream, "
             f"{live:.1%} live"
         )
+        fallback = {
+            dict(s["labels"])["reason"]: s["value"]
+            for s in snap["repro_fleet_fallback_streams"]["series"]
+        }
+        print(
+            "Per-stream fallback streams: "
+            + (", ".join(
+                f"{reason}={count:.0f}"
+                for reason, count in fallback.items() if count
+            ) or "none")
+        )
         _print_event_tail(tel.events, args.events)
         print(
             f"served {n} streams x {ticks} ticks in {elapsed:.2f}s "

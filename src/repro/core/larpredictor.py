@@ -14,7 +14,8 @@ forecasting of the best member).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import make_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +32,13 @@ from repro.util.validation import as_series
 __all__ = ["LARPredictor", "Forecast"]
 
 
-@dataclass(frozen=True)
-class Forecast:
+class Forecast(NamedTuple):
     """One streaming forecast.
+
+    An immutable, hashable, picklable record compared field by field.
+    A :class:`~typing.NamedTuple` rather than a frozen dataclass: a
+    fleet tick builds one per served stream, and tuples are about three
+    times cheaper to build.
 
     Attributes
     ----------
@@ -51,6 +56,13 @@ class Forecast:
     normalized_value: float
     predictor_label: int
     predictor_name: str
+
+
+# Forecast used to be a frozen dataclass; these field records keep
+# ``dataclasses.replace`` / ``asdict`` / ``fields`` working on it.
+Forecast.__dataclass_fields__ = make_dataclass(
+    "Forecast", list(Forecast.__annotations__.items()), frozen=True
+).__dataclass_fields__
 
 
 class LARPredictor:

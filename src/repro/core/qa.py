@@ -99,11 +99,10 @@ class PredictionQualityAssuror:
         # metrics consumers (and persistence) never have to rescan it.
         self.audits_total = 0
         self.breaches_total = 0
-        #: Bumped by every mutating method (:meth:`record`,
-        #: :meth:`record_batch`, :meth:`acknowledge_retraining`,
-        #: :meth:`load_state_dict`). Mirrors — the batched tick engine
-        #: keeps a stacked copy of the error window — treat a bump as
-        #: "my copy of this QA is stale, reload it".
+        #: Bumped by every mutating method (:meth:`record` once per
+        #: pair, :meth:`record_batch`, :meth:`acknowledge_retraining`,
+        #: :meth:`load_state_dict`): a cheap "has this QA changed"
+        #: check for code that caches anything derived from it.
         self.version = 0
 
     # -- streaming interface ------------------------------------------------

@@ -21,10 +21,11 @@ capacity-doubling ring (``_Xbuf``/``_ybuf`` plus start/end offsets), so
 of the O(n) ``vstack`` copy it once paid per observation, and
 :meth:`KNNClassifier.discard_oldest` retires the oldest rows by moving
 an offset instead of refitting. The fleet's batched tick engine
-(:mod:`repro.serving.engine`) mirrors this memory into stacked tensors;
-the ``store_generation`` / ``appended_total_`` / ``discarded_total_``
-counters and :meth:`KNNClassifier.rows_since` exist so it can stay in
-sync incrementally.
+(:mod:`repro.serving.engine`) owns the memory of every stream it serves
+in stacked tensors and brings the classifier up to date in bulk through
+:meth:`KNNClassifier.sync_rows` whenever something reads it; the
+``appended_total_`` / ``discarded_total_`` counters number rows by
+absolute index so the two can be compared.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.learn.topk import lexicographic_topk
 from repro.learn.voting import majority_vote, weighted_vote
 from repro.learn.distance import squared_euclidean_distances
 
-__all__ = ["KNNClassifier", "bulk_learn_rows"]
+__all__ = ["KNNClassifier"]
 
 _BACKENDS = ("auto", "brute", "kd_tree")
 # Below this many training points a vectorized scan beats tree traversal.
@@ -125,9 +126,6 @@ class KNNClassifier(Classifier):
         self._appended = 0
         self._discarded = 0
         self._label_counts: dict[int, int] = {}
-        #: Bumped on every :meth:`fit`; mirrors (the batched engine)
-        #: treat a bump as "reload everything".
-        self.store_generation = 0
         self._tree: KDTree | None = None
 
     @classmethod
@@ -202,25 +200,6 @@ class KNNClassifier(Classifier):
         """Absolute count of oldest rows retired since the last fit."""
         return self._discarded
 
-    def rows_since(self, abs_from: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """Live rows with absolute index ``>= abs_from``.
-
-        Absolute indices count every row appended since the last fit
-        (the initial training set occupies ``0 .. n-1``). Returns
-        ``(X_rows, y_rows, first_abs)`` where ``first_abs`` is the
-        absolute index of the first returned row — ``max(abs_from,
-        discarded_total_)``, since already-retired rows cannot be
-        returned. The views stay valid until the next mutation.
-        """
-        self._require_fitted()
-        lo = max(int(abs_from), self._discarded)
-        offset = self._buf_start + (lo - self._discarded)
-        return (
-            self._Xbuf[offset : self._buf_end],  # type: ignore[index]
-            self._ybuf[offset : self._buf_end],  # type: ignore[index]
-            lo,
-        )
-
     # -- hooks ---------------------------------------------------------------
 
     def _fit(
@@ -248,7 +227,6 @@ class KNNClassifier(Classifier):
             values, counts = _label_values_counts(y)
             label_counts = {int(v): int(c) for v, c in zip(values, counts)}
         self._label_counts = dict(label_counts)
-        self.store_generation += 1
         # The KD-tree index (when the backend resolves to one) is built
         # lazily on the first query, exactly like after a partial_fit
         # mutation: a freshly fitted memory is often trimmed straight to
@@ -373,6 +351,46 @@ class KNNClassifier(Classifier):
             proba[:, j] = np.mean(labels == c, axis=1)
         return proba
 
+    def sync_rows(self, X: np.ndarray, y: np.ndarray, lo: int, hi: int) -> None:
+        """Bring the memory to the rows with absolute indices ``[lo, hi)``.
+
+        *X*/*y* are validated rows ``[hi - len(X), hi)``: every row
+        appended after this memory's last one that is still live. The
+        result is the state the sequence of one-row appends, each
+        followed by the eviction that keeps the oldest live row at the
+        running ``lo``, would have left — same rows, labels, counters,
+        and classes (the batched tick engine's settle step). Rows that
+        were appended and retired in between never need to exist here.
+        """
+        self._require_fitted()
+        start = self._buf_start
+        if hi - X.shape[0] > self._appended:
+            # Every stored row retired before the first given one.
+            drop = self._buf_end - start
+        else:
+            drop = lo - self._discarded
+        dropped = self._ybuf[start : start + drop]  # type: ignore[index]
+        counts = self._label_counts
+        old_classes = set(counts)
+        for label in dropped.tolist():
+            counts[label] -= 1
+        for label in y.tolist():
+            counts[label] = counts.get(label, 0) + 1
+        for label in [label for label, c in counts.items() if c <= 0]:
+            del counts[label]
+        self._buf_start = start + drop
+        self._discarded = lo
+        n = X.shape[0]
+        self._ensure_capacity(n)
+        end = self._buf_end
+        self._Xbuf[end : end + n] = X  # type: ignore[index]
+        self._ybuf[end : end + n] = y  # type: ignore[index]
+        self._buf_end = end + n
+        self._appended = hi
+        if counts.keys() != old_classes:
+            self._refresh_classes()
+        self._tree = None
+
     # -- internals -------------------------------------------------------------
 
     def _append_rows(self, X: np.ndarray, y: np.ndarray) -> None:
@@ -460,52 +478,3 @@ class KNNClassifier(Classifier):
     def __repr__(self) -> str:
         state = "fitted" if self.is_fitted else "unfitted"
         return f"KNNClassifier(k={self.k}, algorithm={self.algorithm!r}, {state})"
-
-
-def bulk_learn_rows(classifiers, X, y, max_memories) -> None:
-    """Append one validated row to each classifier, then trim to its cap.
-
-    The batched tick engine's learn step: classifier *i* gains the row
-    ``(X[i], y[i])`` and is trimmed back to ``max_memories[i]`` stored
-    rows (``None`` = unbounded) — exactly
-    ``clf._append_rows(X[i:i+1], y[i:i+1])`` followed by the oldest-row
-    eviction :meth:`~repro.core.online.OnlineLARPredictor.observe`
-    performs, but with the steady-state case (capacity available, known
-    label, at most one overflow row) inlined so a 500-stream tick pays
-    one tight loop instead of S method-call chains with per-row array
-    slices. Growth, new labels, and multi-row overflow fall back to the
-    classifier's own methods, so the resulting state is identical to
-    the per-stream calls in every case.
-    """
-    y_list = y.tolist()
-    for i, (clf, label, max_memory) in enumerate(
-        zip(classifiers, y_list, max_memories)
-    ):
-        end = clf._buf_end
-        counts = clf._label_counts
-        if end < clf._Xbuf.shape[0] and label in counts:
-            clf._Xbuf[end] = X[i]
-            clf._ybuf[end] = label
-            clf._buf_end = end + 1
-            clf._appended += 1
-            counts[label] += 1
-            clf._tree = None
-        else:
-            clf._append_rows(X[i : i + 1], y[i : i + 1])
-        if max_memory is None:
-            continue
-        start = clf._buf_start
-        excess = clf._buf_end - start - max_memory
-        if excess == 1 and max_memory >= clf.k:
-            dropped = int(clf._ybuf[start])
-            c = counts.get(dropped, 0) - 1
-            if c <= 0:
-                counts.pop(dropped, None)
-                clf._refresh_classes()
-            else:
-                counts[dropped] = c
-            clf._buf_start = start + 1
-            clf._discarded += 1
-            clf._tree = None
-        elif excess > 0:
-            clf.discard_oldest(excess)

@@ -63,41 +63,45 @@ class P2Quantile:
         """Absorb one observation."""
         value = float(value)
         n = self._count = self._count + 1
-        if n <= 5:
-            insort(self._heights, value)
-            return
-
         h, pos = self._heights, self._positions
-        # Locate the cell the observation falls into, stretching the
-        # extreme markers when it lands outside the current range.
-        if value < h[0]:
-            h[0] = value
-            k = 0
-        elif value >= h[4]:
+        if n <= 5:
+            insort(h, value)
+            return
+        # Locate the cell the observation falls into (stretching the
+        # extreme markers when it lands outside the current range) and
+        # shift every marker above it one position right.
+        if value < h[1]:
+            if value < h[0]:
+                h[0] = value
+            pos[1] += 1
+            pos[2] += 1
+            pos[3] += 1
+        elif value < h[2]:
+            pos[2] += 1
+            pos[3] += 1
+        elif value < h[3]:
+            pos[3] += 1
+        elif value > h[4]:
             h[4] = value
-            k = 3
-        else:
-            k = 0
-            while value >= h[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            pos[i] += 1
-
-        # Nudge the three interior markers toward their desired positions.
+        pos[4] += 1
+        # Nudge the three interior markers toward their desired positions,
+        # in order (each sees its left neighbour's move); unrolled, since
+        # every traced span pays this three times.
         m = n - 5
-        d0, rates = self._d0, self._rates
-        for i in (1, 2, 3):
-            d = d0[i] + m * rates[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1) or (
-                d <= -1.0 and pos[i - 1] - pos[i] < -1
-            ):
-                step = 1 if d >= 1.0 else -1
-                candidate = _parabolic(h, pos, i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = _linear(h, pos, i, step)
-                pos[i] += step
+        _, d1, d2, d3, _ = self._d0
+        _, r1, r2, r3, _ = self._rates
+        p = pos[1]
+        d = d1 + m * r1 - p
+        if (d >= 1.0 and pos[2] - p > 1) or (d <= -1.0 and pos[0] - p < -1):
+            _adjust(h, pos, 1, 1 if d >= 1.0 else -1)
+        p = pos[2]
+        d = d2 + m * r2 - p
+        if (d >= 1.0 and pos[3] - p > 1) or (d <= -1.0 and pos[1] - p < -1):
+            _adjust(h, pos, 2, 1 if d >= 1.0 else -1)
+        p = pos[3]
+        d = d3 + m * r3 - p
+        if (d >= 1.0 and pos[4] - p > 1) or (d <= -1.0 and pos[2] - p < -1):
+            _adjust(h, pos, 3, 1 if d >= 1.0 else -1)
 
     def value(self) -> float:
         """The current quantile estimate (0.0 before any observation)."""
@@ -112,6 +116,16 @@ class P2Quantile:
             frac = rank - lo
             return self._heights[lo] * (1.0 - frac) + self._heights[hi] * frac
         return self._heights[2]
+
+
+def _adjust(h, pos, i, step):
+    """Move interior marker *i* one position by *step* (P² update)."""
+    candidate = _parabolic(h, pos, i, step)
+    if h[i - 1] < candidate < h[i + 1]:
+        h[i] = candidate
+    else:
+        h[i] = _linear(h, pos, i, step)
+    pos[i] += step
 
 
 def _parabolic(h, pos, i, step):

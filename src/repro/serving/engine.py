@@ -7,41 +7,56 @@ every stream through its own Python call chain — per-stream
 never touched BLAS with more than one row. This engine executes the
 same tick *fleet-wide*:
 
-* the trailing windows of all trained streams live in one
+* the trailing windows of all served streams live in one
   ``(n_streams, window + 1)`` matrix, rolled once per tick;
 * per-stream z-score coefficients and PCA bases are stacked
   (:mod:`repro.preprocess.stacked`) so normalization is one broadcast
   and feature projection one 3-D ``matmul``;
-* every stream's k-NN memory is mirrored into a padded
-  ``(n_streams, capacity, d)`` tensor (ring layout by absolute row
-  index) with cached squared norms, so the fleet's N single-point
-  queries become one batched distance computation plus one
-  deterministic top-k selection (:mod:`repro.learn.topk`). The ring
-  doubles as memories deepen but never grows past ``max_memory``
-  slots, so a full memory overwrites the slot of the row it evicts in
-  place; dead slots carry a ``+inf`` cached norm, which makes their
-  distance ``+inf`` without a per-query liveness mask;
+* every stream's k-NN memory lives in a padded ``(n_streams, capacity,
+  d)`` ring (laid out by absolute row index) with cached squared norms,
+  so the fleet's N single-point queries become one batched distance
+  computation plus one deterministic top-k selection
+  (:mod:`repro.learn.topk`). The ring doubles as memories deepen but
+  never grows past ``max_memory`` slots, so a full memory overwrites
+  the slot of the row it evicts in place; dead slots carry a ``+inf``
+  cached norm, which makes their distance ``+inf`` without a per-query
+  liveness mask;
 * classifier-selected predictors are dispatched *grouped by member*
   (:mod:`repro.predictors.stacked`): LAST, AR, and SW_AVG each run once
   over all streams that selected them;
-* every stream's QA error window is mirrored into one
-  ``(n_streams, audit_window)`` ring, so the per-tick audits run as
-  vectorized kernels (one modulo for the audit boundaries, grouped
-  row-sums for the window MSEs) instead of S ``record()`` calls.
+* every stream's QA error window lives in one ``(n_streams,
+  audit_window)`` ring, so the per-tick audits run as vectorized
+  kernels (one modulo for the audit boundaries, grouped row-sums for
+  the window MSEs) instead of S ``record()`` calls.
 
-Gather-free fast path
----------------------
-The common tick selects *every* attached row in storage order. Basic
-(slice) indexing then replaces the fancy-index gathers, so the kernels
-read **views** of the stacked tensors instead of copying the whole
-``(S, cap, d)`` memory mirror per tick; per-tick scratch buffers
-(frames, features, distances, the audit kernels) are recycled across
-ticks instead of reallocated. Partial row subsets fall back to the
-fancy-index path bit-identically. Setting :attr:`BatchedTickEngine.
-gather_free` to ``False`` disables the fast path *and* the stacked
-QA/bookkeeping kernels, restoring the previous engine's per-stream
-bookkeeping — the baseline the benchmark gate measures against and a
-second parity oracle for the tests.
+Ownership and settling
+----------------------
+For every stream it serves, the engine's stacked arrays are the only
+copy a tick writes: the tail and a journal of the values not yet in
+the predictor's history, the labelling ring, the k-NN ring, the QA
+ring with its running sum, step and audit journal, and per-row deltas
+of the tick, selection, and learned-window counters, plus the pending
+forecast the next ingest audits. The per-stream
+:class:`~repro.core.online.OnlineLARPredictor`,
+:class:`~repro.learn.knn.KNNClassifier` and
+:class:`~repro.core.qa.PredictionQualityAssuror` objects fall behind,
+and :meth:`BatchedTickEngine.settle` brings them up to date in bulk —
+bit-identical to what the per-stream loop would have left. The fleet
+settles only where something reads those objects: the retrain
+partition (due streams only), ``metrics()``, ``save()``, the registry
+collectors, ``forecast(name)``, and every release of a row (a retrain
+swapping the predictor, ``remove_stream``, a KD-tree demotion).
+
+A tick touches per-stream Python only for rows that need it: audits
+that breach (the QA latch, ``on_breach``, scheduling) and the streams
+the engine does not serve, which keep the per-stream loop. Membership
+changes arrive as events — :meth:`BatchedTickEngine.notice` for a
+stream that (re)trained, :meth:`BatchedTickEngine.release` for one the
+fleet takes back — so :meth:`BatchedTickEngine.prepare` costs
+O(changes), never a scan. Code outside the fleet that needs to read or
+mutate a served stream's objects goes through
+:meth:`PredictionFleet.stream_state`, which settles the stream and
+hands its row back for a reload before the next tick.
 
 Bit-exactness contract
 ----------------------
@@ -53,7 +68,7 @@ that property (elementwise broadcasts, row-wise reductions, stacked
 ``matmul`` whose slices hit the same BLAS calls, grouped trailing-slice
 row-sums that reproduce ``np.mean``'s summation order, and a shared
 lexicographic top-k rule for distance ties); the parity suites in
-``tests/test_serving_engine.py`` and
+``tests/test_serving_engine.py``, ``tests/test_serving_settle.py`` and
 ``tests/test_serving_qa_stacked.py`` lock it in.
 
 Eligibility and fallback
@@ -63,26 +78,25 @@ what the stacked kernels cover: the paper pool (LAST/AR/SW_AVG), a
 fixed-size (or disabled) PCA, a uniform-weight
 :class:`~repro.learn.knn.KNNClassifier` whose backend resolves to
 ``brute`` (the KD-tree path answers queries through its own traversal
-order and is left per-stream), and a plain
+order and is left per-stream; an ``auto`` memory that reaches the
+KD-tree size is handed back at the next :meth:`prepare`), a memory cap
+equal to the fleet's, and a plain
 :class:`~repro.core.qa.PredictionQualityAssuror` with the fleet's audit
 geometry. Everything else transparently falls back to the per-stream
-loop, stream by stream. Per-stream QA objects stay the source of truth:
-the engine writes every record back, and reloads its mirror whenever a
-QA's ``version`` counter shows someone else mutated it (a retrain's
-``acknowledge_retraining``, a ``load_state_dict``, a per-stream-loop
-tick) — exactly like classifier memory resyncs.
+loop, stream by stream; :meth:`BatchedTickEngine.fallback_reason`
+names why.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from time import perf_counter
 
 import numpy as np
 
 from repro.core.larpredictor import Forecast
-from repro.core.online import OnlineLARPredictor
 from repro.core.qa import AuditRecord, PredictionQualityAssuror
-from repro.learn.knn import KNNClassifier, bulk_learn_rows
+from repro.learn.knn import _AUTO_TREE_MAX_DIM, _AUTO_TREE_THRESHOLD, KNNClassifier
 from repro.learn.topk import lexicographic_topk
 from repro.learn.voting import majority_vote
 from repro.predictors.stacked import (
@@ -92,10 +106,19 @@ from repro.predictors.stacked import (
     paper_pool_predict_all_stacked,
 )
 
-__all__ = ["BatchedTickEngine"]
+__all__ = ["BatchedTickEngine", "FALLBACK_REASONS"]
 
 _POOL_NAMES = ("LAST", "AR", "SW_AVG")
 _MIN_ROW_CAPACITY = 4
+# Ticks of history values a row journals before they are flushed into
+# the predictor's history deque.
+_HISTORY_JOURNAL = 256
+
+#: Why a trained stream is served per-stream instead of by the engine.
+FALLBACK_REASONS = (
+    "warmup", "kd_tree", "extended_pool", "qa_policy", "max_memory",
+    "unsupported_config",
+)
 
 
 def _pow2_at_least(n: int) -> int:
@@ -106,49 +129,29 @@ def _pow2_at_least(n: int) -> int:
 
 
 class _Entry:
-    """Engine-side bookkeeping for one attached stream."""
+    """Engine-side bookkeeping for one served stream."""
 
-    __slots__ = ("name", "predictor", "classifier", "qa", "row", "generation",
-                 "synced_appended", "sq_count", "qa_version", "max_memory")
+    __slots__ = ("name", "state", "predictor", "classifier", "qa", "row")
 
-    def __init__(self, name: str, predictor: OnlineLARPredictor, row: int):
+    def __init__(self, name: str, state, row: int):
         self.name = name
-        self.predictor = predictor
-        self.classifier = predictor._classifier
-        self.qa: PredictionQualityAssuror | None = None
+        self.state = state
+        self.predictor = state.predictor
+        self.classifier = state.predictor._classifier
+        self.qa = state.qa
         self.row = row
-        self.generation = -1
-        self.synced_appended = 0
-        self.sq_count = 0
-        self.qa_version = -1
-        self.max_memory = predictor.max_memory
 
 
 class BatchedTickEngine:
     """Stacked per-stream state + batched tick kernels for one fleet.
 
-    The engine self-synchronizes: :meth:`sync` diffs the fleet's stream
-    table against its registry before every batched operation, attaching
-    newly trained streams, refreshing retrained ones (the predictor
-    object identity changes), and detaching removed ones. Between
-    retrains it keeps its memory mirror up to date incrementally via
-    the classifier's ``store_generation`` / ``appended_total_`` /
-    ``discarded_total_`` counters — the common case (one appended row
-    per stream per tick) is a single vectorized scatter — and its QA
-    mirror up to date via the assuror's ``version`` counter.
-
-    Attributes
-    ----------
-    gather_free:
-        ``True`` (default) serves contiguous row selections through
-        zero-copy views, recycles scratch buffers across ticks, records
-        QA audits through the stacked ring, and appends classifier rows
-        through :func:`~repro.learn.knn.bulk_learn_rows`. ``False``
-        restores the previous engine's behavior — fancy-index gathers,
-        fresh allocations, per-stream ``qa.record`` /
-        ``_note_audit`` / ``_append_rows`` calls
-        — bit-identical output either way (the benchmark gate times
-        one against the other).
+    Rows are handed out to streams as they are noticed (trained,
+    retrained, or returned through the fleet's accessor) and taken back
+    when released; :meth:`prepare`, called before every batched
+    operation, attaches the noticed streams, hands back the demoted
+    ones, and keeps the occupied rows dense. Between those events the
+    stacked arrays own the streams' serving state (see the module
+    docstring) and :meth:`settle` writes it back on demand.
     """
 
     def __init__(self, fleet) -> None:
@@ -161,7 +164,6 @@ class BatchedTickEngine:
         self._qa_window = cfg.audit_window
         self._qa_interval = cfg.audit_interval
         self._qa_threshold = float(cfg.qa_threshold)
-        self.gather_free = True
         # min_variance lets each stream keep a different component
         # count, which cannot be stacked; everything else is uniform.
         self._supported = (
@@ -173,10 +175,20 @@ class BatchedTickEngine:
             else self._window
         )
         self._entries: dict[str, _Entry] = {}
-        self._rows: list[_Entry] = []
+        # Row slots; released rows are None until prepare() refills or
+        # compacts them.
+        self._rows: list[_Entry | None] = []
+        self._free: list[int] = []
+        self._noticed: dict[str, None] = {}
+        self._demoted: list[_Entry] = []
+        #: Bumped whenever a stream gains, loses, or moves its row.
+        self.layout = 0
+        # Audits not yet written to their QA objects: chunks of
+        # (rows, steps, window MSEs), in tick order.
+        self._audit_log: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         # Per-tick scratch, keyed by call site; _buf returns the cached
         # array whenever the requested shape still matches, so the
-        # steady-state tick allocates nothing.
+        # steady-state tick allocates little.
         self._scratch: dict[str, np.ndarray] = {}
         # Distances are computed over every ring slot, so the ring is
         # only as wide as the live memories need: _grow_memory doubles
@@ -187,6 +199,10 @@ class BatchedTickEngine:
         self._mem_bound = cfg.max_memory
         self._mem_cap = self._ring_width(self._k)
         self._alloc(_MIN_ROW_CAPACITY)
+        if self._supported:
+            for name, state in fleet._streams.items():
+                if state.predictor is not None:
+                    self._noticed[name] = None
 
     # -- storage ------------------------------------------------------------
 
@@ -200,13 +216,18 @@ class BatchedTickEngine:
         self._pcomp = np.empty((row_cap, d, w), dtype=np.float64)
         self._ar_phi = np.empty((row_cap, self._ar_order), dtype=np.float64)
         self._ar_mu = np.empty(row_cap, dtype=np.float64)
+        # Labelling ring: the last L squared pool errors, oldest first,
+        # and how many of them are live.
         self._sqring = np.zeros((row_cap, L, 3), dtype=np.float64)
-        # Stacked QA mirror: each row holds the stream's audit window
-        # oldest-first (zero-padded on the left while warming up), plus
-        # its live pair count and step counter.
+        self._sqn = np.zeros(row_cap, dtype=np.int64)
+        # QA ring: each row holds the stream's audit window oldest-first
+        # (zero-padded on the left while warming up), its live pair
+        # count, step counter, running sum, and breach latch.
         self._qa_ring = np.zeros((row_cap, self._qa_window), dtype=np.float64)
         self._qa_count = np.zeros(row_cap, dtype=np.int64)
         self._qa_step = np.zeros(row_cap, dtype=np.int64)
+        self._qa_sum = np.zeros(row_cap, dtype=np.float64)
+        self._qa_due = np.zeros(row_cap, dtype=bool)
         # Dead ring slots flow through the batched distance computation:
         # finite features plus a +inf norm give them a +inf distance.
         self._mem_x = np.zeros((row_cap, cap, d), dtype=np.float64)
@@ -215,12 +236,32 @@ class BatchedTickEngine:
         self._mem_abs = np.full((row_cap, cap), -1, dtype=np.int64)
         self._mem_lo = np.zeros(row_cap, dtype=np.int64)
         self._mem_hi = np.zeros(row_cap, dtype=np.int64)
+        self._auto_tree = np.zeros(row_cap, dtype=bool)
+        # Unsettled values and counter deltas.
+        self._jv = np.empty((row_cap, _HISTORY_JOURNAL), dtype=np.float64)
+        self._jn = np.zeros(row_cap, dtype=np.int64)
+        self._dticks = np.zeros(row_cap, dtype=np.int64)
+        self._dlearned = np.zeros(row_cap, dtype=np.int64)
+        self._dsel = np.zeros((row_cap, 3), dtype=np.int64)
+        # The forecast the next ingest audits (valid until that ingest).
+        self._pend_valid = np.zeros(row_cap, dtype=bool)
+        self._pend_value = np.zeros(row_cap, dtype=np.float64)
+        self._pend_norm = np.zeros(row_cap, dtype=np.float64)
+        self._pend_label = np.ones(row_cap, dtype=np.int64)
+        # Rows whose stream state / predictor is behind the arrays.
+        self._dirty = np.zeros(row_cap, dtype=bool)
+        self._pdirty = np.zeros(row_cap, dtype=bool)
 
     def _row_arrays(self) -> tuple:
         return (self._tails, self._mu, self._sigma, self._pmean, self._pcomp,
-                self._ar_phi, self._ar_mu, self._sqring, self._qa_ring,
-                self._qa_count, self._qa_step, self._mem_x, self._mem_y,
-                self._mem_bb, self._mem_abs, self._mem_lo, self._mem_hi)
+                self._ar_phi, self._ar_mu, self._sqring, self._sqn,
+                self._qa_ring, self._qa_count, self._qa_step, self._qa_sum,
+                self._qa_due, self._mem_x, self._mem_y, self._mem_bb,
+                self._mem_abs, self._mem_lo, self._mem_hi, self._auto_tree,
+                self._jv, self._jn, self._dticks, self._dlearned,
+                self._dsel,
+                self._pend_valid, self._pend_value, self._pend_norm,
+                self._pend_label, self._dirty, self._pdirty)
 
     def _grow_rows(self) -> None:
         old = self._row_arrays()
@@ -242,19 +283,27 @@ class BatchedTickEngine:
         return width
 
     def _grow_memory(self, needed: int) -> None:
-        """Widen the per-stream memory mirror; rows reload lazily."""
-        self._mem_cap = self._ring_width(needed)
+        """Widen the memory ring, moving every live row to its new slot."""
+        old_x, old_y, old_bb, old_abs = (
+            self._mem_x, self._mem_y, self._mem_bb, self._mem_abs
+        )
+        cap = self._mem_cap = self._ring_width(needed)
         row_cap = self._tails.shape[0]
-        self._mem_x = np.zeros(
-            (row_cap, self._mem_cap, self._n_features), dtype=np.float64
+        self._mem_x = np.zeros((row_cap, cap, self._n_features), dtype=np.float64)
+        self._mem_y = np.empty((row_cap, cap), dtype=np.int64)
+        self._mem_bb = np.full((row_cap, cap), np.inf, dtype=np.float64)
+        self._mem_abs = np.full((row_cap, cap), -1, dtype=np.int64)
+        n = len(self._rows)
+        live = (old_abs[:n] >= self._mem_lo[:n, None]) & (
+            old_abs[:n] < self._mem_hi[:n, None]
         )
-        self._mem_y = np.empty((row_cap, self._mem_cap), dtype=np.int64)
-        self._mem_bb = np.full(
-            (row_cap, self._mem_cap), np.inf, dtype=np.float64
-        )
-        self._mem_abs = np.full((row_cap, self._mem_cap), -1, dtype=np.int64)
-        for entry in self._rows:
-            entry.generation = -1  # force a full reload on next sync
+        r, s = np.nonzero(live)
+        a = old_abs[r, s]
+        slots = a % cap
+        self._mem_x[r, slots] = old_x[r, s]
+        self._mem_y[r, slots] = old_y[r, s]
+        self._mem_bb[r, slots] = old_bb[r, s]
+        self._mem_abs[r, slots] = a
 
     def _kill_dead(self, rows) -> None:
         """Give every slot holding a retired row a +inf cached norm."""
@@ -266,32 +315,28 @@ class BatchedTickEngine:
 
     def memory_occupancy(self) -> tuple[int, float]:
         """``(ring slots, live rows / (attached rows x slots))``."""
-        n = len(self._rows)
-        if not n:
+        rows = [e.row for e in self._entries.values()]
+        if not rows:
             return self._mem_cap, 0.0
-        live = int((self._mem_hi[:n] - self._mem_lo[:n]).sum())
-        return self._mem_cap, live / (n * self._mem_cap)
+        live = int((self._mem_hi[rows] - self._mem_lo[rows]).sum())
+        return self._mem_cap, live / (len(rows) * self._mem_cap)
 
     def _buf(self, name: str, shape: tuple) -> np.ndarray:
-        """A recycled float64 scratch array (fresh when gather_free off)."""
-        if not self.gather_free:
-            return np.empty(shape, dtype=np.float64)
+        """A recycled float64 scratch array."""
         buf = self._scratch.get(name)
         if buf is None or buf.shape != shape:
             buf = np.empty(shape, dtype=np.float64)
             self._scratch[name] = buf
         return buf
 
-    def _selector(self, rows: np.ndarray):
+    @staticmethod
+    def _selector(rows: np.ndarray):
         """A basic-indexing slice when *rows* is consecutive, else *rows*.
 
         Slices make every gather below a zero-copy view; the returned
-        selector is only ever used for reads (scatters keep the fancy
-        ``rows`` array, whose pointwise semantics a slice cannot
-        express).
+        selector is only ever used for reads and whole-selection writes
+        (pointwise scatters keep the fancy ``rows`` array).
         """
-        if not self.gather_free:
-            return rows
         n = rows.shape[0]
         first = int(rows[0])
         if int(rows[n - 1]) - first == n - 1 and (
@@ -313,59 +358,168 @@ class BatchedTickEngine:
 
     # -- membership ---------------------------------------------------------
 
-    def prepare(self) -> None:
-        """Reconcile membership and memory mirrors with the fleet.
-
-        Call once before a batched operation (or a batch of them within
-        one tick); :meth:`forecast_batch` calls it itself,
-        :meth:`PredictionFleet.ingest` calls it before filtering streams
-        through :meth:`serves`.
-        """
-        self.sync()
-        if self._rows:
-            self._sync_memory()
-
-    def sync(self) -> None:
-        """Reconcile the registry with the fleet's current stream table."""
-        if not self._supported:
-            return
-        states = self._fleet._streams
-        stale = [
-            e for e in self._rows
-            if (s := states.get(e.name)) is None or s.predictor is not e.predictor
-        ]
-        for entry in stale:
-            self._detach(entry)
-        for name, state in states.items():
-            if state.predictor is not None and name not in self._entries:
-                self._try_attach(name, state.predictor)
+    @property
+    def n_rows(self) -> int:
+        """Rows in use (dense after :meth:`prepare`)."""
+        return len(self._rows)
 
     def serves(self, name: str) -> bool:
         """Whether *name* is currently served by the batched path."""
         return name in self._entries
 
-    def _try_attach(self, name: str, predictor: OnlineLARPredictor) -> None:
-        if not self._eligible(predictor):
+    def row_of(self, name: str) -> int | None:
+        """*name*'s engine row, or ``None`` when it is not served."""
+        entry = self._entries.get(name)
+        return None if entry is None else entry.row
+
+    def notice(self, name: str) -> None:
+        """Queue *name* for (re)attachment at the next :meth:`prepare`."""
+        if self._supported:
+            self._noticed[name] = None
+
+    def release(self, name: str, *, predictor: bool = True) -> None:
+        """Settle *name*'s objects and free its row (no-op if unserved).
+
+        ``predictor=False`` leaves the outgoing predictor's learned
+        state (memory, labelling window, learned count) unsettled — for
+        a retrain swap, which discards that predictor right after.
+        """
+        entry = self._entries.get(name)
+        if entry is None:
             return
-        state = self._fleet._streams.get(name)
-        qa = state.qa if state is not None else None
+        self._settle_rows(
+            np.array([entry.row], dtype=np.intp), predictors=predictor
+        )
+        del self._entries[name]
+        self._rows[entry.row] = None
+        self._free.append(entry.row)
+        self.layout += 1
+
+    def release_all(self) -> None:
+        """Hand every served stream back to the per-stream objects.
+
+        Everything is settled and re-queued, so the next batched
+        operation reloads the rows from the objects — the hand-over a
+        per-stream (``batched=False``) operation needs.
+        """
+        if not self._entries:
+            return
+        self.settle()
+        for name in self._entries:
+            self._noticed[name] = None
+        self._entries.clear()
+        self._rows.clear()
+        self._free.clear()
+        self._audit_log.clear()
+        self.layout += 1
+
+    def prepare(self) -> None:
+        """Apply the membership events queued since the last call.
+
+        Hands back demoted rows, attaches noticed streams (into freed
+        rows first), and compacts whatever rows stay free — O(changes).
+        """
+        if self._demoted:
+            for entry in self._demoted:
+                if self._entries.get(entry.name) is entry:
+                    self.release(entry.name)
+            self._demoted.clear()
+        if self._noticed:
+            noticed = list(self._noticed)
+            self._noticed.clear()
+            for name in noticed:
+                if name not in self._entries:
+                    self._try_attach(name)
+        if self._free:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Move the last occupied rows into the free ones below them."""
+        rows = self._rows
+        free = set(self._free)
+        self._free.clear()
+        live_n = len(rows) - len(free)
+        holes = sorted(r for r in free if r < live_n)
+        movers = [r for r in range(live_n, len(rows)) if rows[r] is not None]
+        if movers:
+            src = np.array(movers, dtype=np.intp)
+            dst = np.array(holes, dtype=np.intp)
+            for arr in self._row_arrays():
+                arr[dst] = arr[src]
+            remap = np.arange(len(rows), dtype=np.intp)
+            remap[src] = dst
+            self._audit_log[:] = [
+                (remap[r], s, m) for r, s, m in self._audit_log
+            ]
+            for s, d in zip(movers, holes):
+                entry = rows[s]
+                entry.row = d
+                rows[d] = entry
+        del rows[live_n:]
+        self.layout += 1
+
+    def fallback_reason(self, state) -> str | None:
+        """Why *state* would be served per-stream (``None``: it would not)."""
+        predictor = state.predictor
+        if predictor is None:
+            return "warmup"
+        cfg = self._fleet.config.lar
+        if not self._supported:
+            return "extended_pool" if cfg.extended_pool else "unsupported_config"
+        clf = predictor._classifier
+        if type(clf) is not KNNClassifier or clf.weights != "uniform":
+            return "unsupported_config"
+        if clf._tree is not None or clf._resolve_backend() != "brute":
+            return "kd_tree"
+        pool = predictor._runner.pool
+        if not is_paper_pool(pool):
+            return (
+                "extended_pool"
+                if predictor.config.extended_pool
+                else "unsupported_config"
+            )
+        if pool[1].order != self._ar_order or pool[2].window is not None:
+            return "unsupported_config"
+        pca = predictor._runner.pipeline.pca
+        if pca is None:
+            if self._n_features != self._window:
+                return "unsupported_config"
+        elif pca.components_.shape != (self._n_features, self._window):
+            return "unsupported_config"
+        # The ring's max_memory bound holds only for memories that
+        # evict at the fleet's cap.
+        if predictor.max_memory != self._mem_bound:
+            return "max_memory"
         # The stacked QA ring shares one geometry across rows, so a
         # stream whose assuror diverges from the fleet policy (or is a
         # subclass with its own behavior) stays on the per-stream loop.
+        qa = state.qa
         if (
             type(qa) is not PredictionQualityAssuror
             or qa.audit_window != self._qa_window
             or qa.audit_interval != self._qa_interval
             or qa.threshold != self._qa_threshold
         ):
+            return "qa_policy"
+        return None
+
+    def _try_attach(self, name: str) -> None:
+        state = self._fleet._streams.get(name)
+        if state is None or self.fallback_reason(state) is not None:
             return
-        if len(self._rows) == self._tails.shape[0]:
-            self._grow_rows()
-        entry = _Entry(name, predictor, len(self._rows))
-        entry.qa = qa
-        self._rows.append(entry)
+        if self._free:
+            self._free.sort()
+            row = self._free.pop(0)
+        else:
+            if len(self._rows) == self._tails.shape[0]:
+                self._grow_rows()
+            row = len(self._rows)
+            self._rows.append(None)
+        entry = _Entry(name, state, row)
+        self._rows[row] = entry
         self._entries[name] = entry
-        row = entry.row
+        self.layout += 1
+        predictor = state.predictor
         pipeline = predictor._runner.pipeline
         self._mu[row] = pipeline.normalizer.mean
         self._sigma[row] = pipeline.normalizer.std
@@ -377,47 +531,46 @@ class BatchedTickEngine:
         self._ar_mu[row] = ar.mean_
         self._tails[row] = predictor._tail(self._window + 1)
         self._sqring[row] = 0.0
-        entry.sq_count = len(predictor._recent_sq)
-        if entry.sq_count:
-            self._sqring[row, self._smoothing - entry.sq_count :] = np.stack(
+        count = self._sqn[row] = len(predictor._recent_sq)
+        if count:
+            self._sqring[row, self._smoothing - count :] = np.stack(
                 list(predictor._recent_sq), axis=0
             )
         self._reload_qa(entry)
         self._reload_memory(entry)
+        clf = entry.classifier
+        self._auto_tree[row] = (
+            clf.algorithm == "auto" and self._n_features <= _AUTO_TREE_MAX_DIM
+        )
+        self._jn[row] = 0
+        self._dticks[row] = 0
+        self._dlearned[row] = 0
+        self._dsel[row] = 0
+        self._dirty[row] = False
+        self._pdirty[row] = False
+        pending = state.pending
+        valid = (
+            pending is not None
+            and state.pending_at == predictor.history_length
+        )
+        self._pend_valid[row] = valid
+        if valid:
+            self._pend_value[row] = pending.value
+            self._pend_norm[row] = pending.normalized_value
+            self._pend_label[row] = pending.predictor_label
 
-    def _detach(self, entry: _Entry) -> None:
-        last = self._rows[-1]
-        if last is not entry:
-            # Swap-remove: move the last row's data into the freed slot.
-            dst, src = entry.row, last.row
-            for arr in self._row_arrays():
-                arr[dst] = arr[src]
-            last.row = dst
-            self._rows[dst] = last
-        self._rows.pop()
-        del self._entries[entry.name]
+    def note_pending(self, name: str, fc: Forecast) -> None:
+        """Adopt a per-stream forecast as *name*'s pending one."""
+        entry = self._entries.get(name)
+        if entry is None:
+            return
+        row = entry.row
+        self._pend_valid[row] = True
+        self._pend_value[row] = fc.value
+        self._pend_norm[row] = fc.normalized_value
+        self._pend_label[row] = fc.predictor_label
 
-    def _eligible(self, predictor: OnlineLARPredictor) -> bool:
-        clf = predictor._classifier
-        if type(clf) is not KNNClassifier or clf.weights != "uniform":
-            return False
-        if clf._tree is not None or clf._resolve_backend() != "brute":
-            return False
-        pool = predictor._runner.pool
-        if not is_paper_pool(pool):
-            return False
-        if pool[1].order != self._ar_order or pool[2].window is not None:
-            return False
-        # The ring's max_memory bound holds only for memories that
-        # evict at the fleet's cap.
-        if predictor.max_memory != self._mem_bound:
-            return False
-        pca = predictor._runner.pipeline.pca
-        if pca is None:
-            return self._n_features == self._window
-        return pca.components_.shape == (self._n_features, self._window)
-
-    # -- memory mirror ------------------------------------------------------
+    # -- memory and QA loads --------------------------------------------------
 
     def _reload_memory(self, entry: _Entry) -> None:
         clf = entry.classifier
@@ -435,11 +588,9 @@ class BatchedTickEngine:
         self._mem_bb[row, slots] = np.einsum("ij,ij->i", clf._X, clf._X)
         self._mem_lo[row] = lo
         self._mem_hi[row] = hi
-        entry.generation = clf.store_generation
-        entry.synced_appended = hi
 
     def _reload_qa(self, entry: _Entry) -> None:
-        """Mirror one stream's QA error window into the stacked ring."""
+        """Load one stream's QA error window into the stacked ring."""
         qa = entry.qa
         row = entry.row
         w = self._qa_window
@@ -449,65 +600,160 @@ class BatchedTickEngine:
             self._qa_ring[row, w - count :] = qa._sq_errors
         self._qa_count[row] = count
         self._qa_step[row] = qa._step
-        entry.qa_version = qa.version
+        self._qa_sum[row] = qa._sq_sum
+        self._qa_due[row] = qa._retraining_due
 
-    def _sync_memory(self) -> list[_Entry]:
-        """Bring every row's memory and QA mirrors up to date.
+    # -- settling -------------------------------------------------------------
 
-        Returns entries that stopped being batchable (e.g. the auto
-        backend crossed over to the KD-tree as the memory grew); the
-        caller detaches them and serves those streams per-stream.
+    def settle(self, names=None, *, predictors: bool = True) -> None:
+        """Bring the per-stream objects of *names* (all when ``None``)
+        up to date with the stacked state, in bulk.
+
+        ``predictors=False`` settles the stream state, QA, and history
+        but leaves each predictor's classifier memory, labelling window
+        and learned count for a later settle — what a retrain partition
+        needs of streams whose predictors it is about to replace.
         """
-        demoted: list[_Entry] = []
-        qa_live = self.gather_free
-        cap = self._mem_cap
-        for entry in self._rows:
-            clf = entry.classifier
-            if clf._tree is not None or clf._resolve_backend() != "brute":
-                demoted.append(entry)
-                continue
-            # The engine's own write-backs leave `version` untouched, so
-            # a mismatch means someone else mutated the QA (a retrain's
-            # acknowledge_retraining, a per-stream-loop tick, a restore)
-            # and this row's window mirror must be rebuilt.
-            if qa_live and entry.qa_version != entry.qa.version:
-                self._reload_qa(entry)
-            if entry.generation != clf.store_generation:
-                self._reload_memory(entry)
-                continue
-            appended = clf.appended_total_
-            if appended != entry.synced_appended:
-                rows_x, rows_y, first = clf.rows_since(entry.synced_appended)
-                if appended - clf.discarded_total_ > self._mem_cap:
-                    self._grow_memory(appended - clf.discarded_total_)
-                    self._reload_memory(entry)
-                    continue
-                abs_idx = np.arange(
-                    first, first + rows_x.shape[0], dtype=np.int64
+        if names is None:
+            n = len(self._rows)
+            stale = self._dirty[:n] | self._pdirty[:n] if predictors else (
+                self._dirty[:n]
+            )
+            rows = [r for r in np.flatnonzero(stale).tolist()
+                    if self._rows[r] is not None]
+        else:
+            entries = self._entries
+            rows = [entries[name].row for name in names if name in entries]
+        if rows:
+            self._settle_rows(
+                np.array(rows, dtype=np.intp), predictors=predictors
+            )
+
+    def _take_audits(self, rows: np.ndarray) -> dict:
+        """Pop the journaled audits of *rows*: ``{row: [AuditRecord]}``."""
+        log = self._audit_log
+        if not log:
+            return {}
+        if len(log) > 1:
+            log[:] = [tuple(np.concatenate(parts) for parts in zip(*log))]
+        log_rows, steps, mses = log[0]
+        mask = np.zeros(len(self._rows), dtype=bool)
+        mask[rows] = True
+        take = mask[log_rows]
+        if not take.any():
+            return {}
+        keep = ~take
+        if keep.any():
+            log[0] = (log_rows[keep], steps[keep], mses[keep])
+        else:
+            log.clear()
+        r = log_rows[take]
+        order = np.argsort(r, kind="stable")
+        r = r[order]
+        thr = self._qa_threshold
+        records = [
+            AuditRecord(step, mse, mse > thr)
+            for step, mse in zip(
+                steps[take][order].tolist(), mses[take][order].tolist()
+            )
+        ]
+        cuts = (np.flatnonzero(r[1:] != r[:-1]) + 1).tolist()
+        starts = [0, *cuts]
+        ends = [*cuts, len(records)]
+        return {
+            row: records[a:b]
+            for row, a, b in zip(r[starts].tolist(), starts, ends)
+        }
+
+    def _settle_rows(self, rows: np.ndarray, *, predictors: bool = True) -> None:
+        stale = self._dirty[rows]
+        if predictors:
+            stale |= self._pdirty[rows]
+        rows = rows[stale]
+        if not rows.size:
+            return
+        tel = self._fleet._tel
+        t0 = perf_counter() if tel is not None else 0.0
+        audits = self._take_audits(rows)
+        w, L, cap = self._qa_window, self._smoothing, self._mem_cap
+        jn = self._jn[rows].tolist()
+        dticks = self._dticks[rows].tolist()
+        dlearned = self._dlearned[rows].tolist() if predictors else None
+        sqn = self._sqn[rows].tolist()
+        qa_count = self._qa_count[rows].tolist()
+        qa_step = self._qa_step[rows].tolist()
+        qa_sum = self._qa_sum[rows].tolist()
+        lo = self._mem_lo[rows].tolist()
+        hi = self._mem_hi[rows].tolist()
+        dsel = self._dsel[rows].tolist()
+        valid = self._pend_valid[rows].tolist()
+        p_value = self._pend_value[rows].tolist()
+        p_norm = self._pend_norm[rows].tolist()
+        p_label = self._pend_label[rows].tolist()
+        for j, r in enumerate(rows.tolist()):
+            entry = self._rows[r]
+            predictor = entry.predictor
+            state = entry.state
+            if jn[j]:
+                predictor._history.extend(self._jv[r, : jn[j]].tolist())
+            state.ticks += dticks[j]
+            if predictors:
+                if dlearned[j]:
+                    predictor._windows_learned += dlearned[j]
+                    recent = predictor._recent_sq
+                    recent.clear()
+                    recent.extend(self._sqring[r, L - sqn[j] :].copy())
+                clf = entry.classifier
+                if hi[j] != clf._appended or lo[j] != clf._discarded:
+                    slots = np.arange(max(clf._appended, lo[j]), hi[j]) % cap
+                    clf.sync_rows(
+                        self._mem_x[r, slots], self._mem_y[r, slots],
+                        lo[j], hi[j],
+                    )
+            qa = entry.qa
+            if qa_step[j] != qa._step:
+                qa.version += qa_step[j] - qa._step
+                qa._step = qa_step[j]
+                qa._sq_errors = deque(
+                    self._qa_ring[r, w - qa_count[j] :].tolist(), maxlen=w
                 )
-                slots = abs_idx % self._mem_cap
-                row = entry.row
-                self._mem_x[row, slots] = rows_x
-                self._mem_y[row, slots] = rows_y
-                self._mem_abs[row, slots] = abs_idx
-                self._mem_bb[row, slots] = np.einsum(
-                    "ij,ij->i", rows_x, rows_x
+                qa._sq_sum = qa_sum[j]
+            records = audits.get(r)
+            if records:
+                qa.audits.extend(records)
+                qa.audits_total += len(records)
+                qa.breaches_total += sum(a.breached for a in records)
+            counts = dsel[j]
+            if any(counts):
+                selections = state.selections
+                for name, c in zip(_POOL_NAMES, counts):
+                    if c:
+                        selections[name] = selections.get(name, 0) + c
+            if valid[j]:
+                label = p_label[j]
+                state.pending = Forecast(
+                    p_value[j], p_norm[j], label, _POOL_NAMES[label - 1]
                 )
-                entry.synced_appended = appended
-            if clf.discarded_total_ != self._mem_lo[entry.row]:
-                # Rows retired outside the engine (e.g. discard_oldest).
-                self._mem_lo[entry.row] = clf.discarded_total_
-                self._kill_dead([entry.row])
-        if self._mem_cap != cap:
-            # A widening wiped the rows synced before it.
-            for entry in self._rows:
-                if entry not in demoted and (
-                    entry.generation != entry.classifier.store_generation
-                ):
-                    self._reload_memory(entry)
-        for entry in demoted:
-            self._detach(entry)
-        return demoted
+                state.pending_at = len(predictor._history)
+            else:
+                state.pending = None
+        self._jn[rows] = 0
+        self._dticks[rows] = 0
+        self._dsel[rows] = 0
+        self._dirty[rows] = False
+        if predictors:
+            self._dlearned[rows] = 0
+            self._pdirty[rows] = False
+        if tel is not None:
+            tel.tracer.record(
+                "tick.settle", perf_counter() - t0, batch=rows.size, start=t0
+            )
+
+    def _flush_history(self, rows: np.ndarray) -> None:
+        """Move full history journals into the predictors' deques."""
+        for r in rows.tolist():
+            self._rows[r].predictor._history.extend(self._jv[r].tolist())
+        self._jn[rows] = 0
 
     # -- batched kernels ----------------------------------------------------
 
@@ -565,257 +811,134 @@ class BatchedTickEngine:
         return normalized
 
     def _forecast_rows(
-        self, rows: np.ndarray
+        self, sel, n: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(values, normalized values, labels) for the selected rows."""
+        """(values, normalized values, labels) for the *n* selected rows."""
         tel = self._fleet._tel
-        if tel is not None:
-            return self._forecast_rows_traced(rows, tel.tracer)
-        sel = self._selector(rows)
-        n = rows.shape[0]
+        tracer = tel.tracer if tel is not None else None
         mu = self._mu[sel]
         sigma = self._sigma[sel]
-        frames = self._buf("frames", (n, self._window))
-        np.subtract(self._tails[sel, 1:], mu[:, None], out=frames)
-        np.divide(frames, sigma[:, None], out=frames)
-        feats = self._features(sel, frames)
-        labels = self._classify(sel, feats)
-        normalized = self._pool_dispatch(sel, frames, labels)
-        values = self._buf("values", (n,))
-        np.multiply(normalized, sigma, out=values)
-        np.add(values, mu, out=values)
-        return values, normalized, labels
-
-    def _forecast_rows_traced(
-        self, rows: np.ndarray, tracer
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`_forecast_rows` with per-phase tracing spans."""
-        sel = self._selector(rows)
-        n = rows.shape[0]
-        mu = self._mu[sel]
-        sigma = self._sigma[sel]
-        with tracer.span("tick.zscore", batch=n):
+        if tracer is None:
             frames = self._buf("frames", (n, self._window))
             np.subtract(self._tails[sel, 1:], mu[:, None], out=frames)
             np.divide(frames, sigma[:, None], out=frames)
-        with tracer.span("tick.pca_project", batch=n):
             feats = self._features(sel, frames)
-        with tracer.span("tick.knn_query", batch=n):
             labels = self._classify(sel, feats)
-        with tracer.span("tick.pool_dispatch", batch=n):
             normalized = self._pool_dispatch(sel, frames, labels)
+        else:
+            t0 = perf_counter()
+            frames = self._buf("frames", (n, self._window))
+            np.subtract(self._tails[sel, 1:], mu[:, None], out=frames)
+            np.divide(frames, sigma[:, None], out=frames)
+            t1 = perf_counter()
+            tracer.record("tick.zscore", t1 - t0, n, start=t0)
+            feats = self._features(sel, frames)
+            t2 = perf_counter()
+            tracer.record("tick.pca_project", t2 - t1, n, start=t1)
+            labels = self._classify(sel, feats)
+            t3 = perf_counter()
+            tracer.record("tick.knn_query", t3 - t2, n, start=t2)
+            normalized = self._pool_dispatch(sel, frames, labels)
+            tracer.record(
+                "tick.pool_dispatch", perf_counter() - t3, n, start=t3
+            )
         values = self._buf("values", (n,))
         np.multiply(normalized, sigma, out=values)
         np.add(values, mu, out=values)
         return values, normalized, labels
 
-    # -- stacked QA ----------------------------------------------------------
+    def _order(self, rows: np.ndarray, full: bool):
+        """``(processing rows, selector)`` for an item-ordered row array.
 
-    def _record_audits_stacked(
-        self,
-        items: list,
-        entries: list,
-        sel,
-        rows: np.ndarray,
-        pending_norm: np.ndarray,
-        observed_norm: np.ndarray,
-        pending_name: list,
-    ) -> "list[tuple[str, AuditRecord]] | None":
-        """Record one (prediction, observation) pair per served stream.
-
-        Bit-identical to calling ``state.qa.record(...)`` per stream —
-        the audit boundary is one modulo over the stacked step counters,
-        window MSEs are grouped trailing-slice row-sums over the stacked
-        ring (the summation order ``np.mean`` uses over the deque), and
-        everything is written back to the per-stream QA objects, audits
-        list and lifetime counters included, without bumping their
-        ``version`` (the mirror advanced in lockstep). Returns the
-        ``(stream, audit)`` pairs for the fleet's aggregated telemetry
-        note, or ``None`` when telemetry is off.
+        *full* says *rows* is a permutation of every occupied row; the
+        kernels then run over all rows in storage order (zero-copy
+        views) and results are permuted back to item order.
         """
-        fleet = self._fleet
-        n = len(items)
-        w = self._qa_window
-        errs = self._buf("qa_errs", (n,))
-        np.subtract(pending_norm, observed_norm, out=errs)
-        if not np.isfinite(errs).all():
-            # A non-finite pair must raise exactly like the per-stream
-            # loop (mid-loop, earlier streams already recorded). The
-            # version bumps the records make mark the mirror stale, so
-            # the next prepare() reloads whatever was mutated.
-            for i, (state, _) in enumerate(items):
-                state.qa.record(
-                    float(pending_norm[i]), float(observed_norm[i])
-                )
-            raise AssertionError("finite errors must have raised")  # pragma: no cover
-        np.multiply(errs, errs, out=errs)
-        sq = errs
-        ring = self._qa_ring
-        self._shift_append(ring, sel, rows, sq)
-        if isinstance(sel, slice):
-            counts = self._qa_count[sel]
-            counts += 1
-            np.minimum(counts, w, out=counts)
-            steps = self._qa_step[sel]
-            steps += 1
-        else:
-            counts = np.minimum(self._qa_count[rows] + 1, w)
-            self._qa_count[rows] = counts
-            steps = self._qa_step[rows] + 1
-            self._qa_step[rows] = steps
-        audited = np.flatnonzero(steps % self._qa_interval == 0)
-        audit_info: dict[int, tuple[float, bool]] = {}
-        if audited.size:
-            ring_sel = ring[sel]
-            mses = np.empty(audited.size, dtype=np.float64)
-            acounts = counts[audited]
-            for count in np.unique(acounts):
-                grp = acounts == count
-                # Trailing slices of fancy-selected rows are contiguous
-                # copies, so this row-sum reduces each window in the
-                # exact order np.mean reduces the per-stream deque.
-                mses[grp] = ring_sel[audited[grp], w - int(count) :].sum(
-                    axis=1
-                ) / int(count)
-            breached = mses > self._qa_threshold
-            for j, i in enumerate(audited.tolist()):
-                audit_info[i] = (float(mses[j]), bool(breached[j]))
-        tel = fleet._tel
-        audited_events: list[tuple[str, AuditRecord]] | None = (
-            [] if tel is not None else None
-        )
-        sq_list = sq.tolist()
-        step_list = steps.tolist()
-        for i, (state, _) in enumerate(items):
-            qa = entries[i].qa
-            v = sq_list[i]
-            dq = qa._sq_errors
-            if len(dq) == w:
-                qa._sq_sum -= dq[0]
-            dq.append(v)
-            qa._sq_sum += v
-            qa._step += 1
-            info = audit_info.get(i)
-            if info is not None:
-                window_mse, breach = info
-                record = AuditRecord(
-                    step=step_list[i], window_mse=window_mse, breached=breach
-                )
-                qa.audits.append(record)
-                qa.audits_total += 1
-                if breach:
-                    qa.breaches_total += 1
-                    qa._retraining_due = True
-                    if qa.on_breach is not None:
-                        qa.on_breach(record)
-                if audited_events is not None:
-                    audited_events.append((state.name, record))
-            name = pending_name[i]
-            state.selections[name] = state.selections.get(name, 0) + 1
-            state.pending = None
-        return audited_events
+        if full:
+            n = rows.shape[0]
+            return np.arange(n, dtype=np.intp), slice(0, n)
+        return rows, self._selector(rows)
 
     # -- fleet-facing operations --------------------------------------------
 
-    def forecast_batch(self, names) -> dict[str, Forecast]:
-        """Batched :meth:`PredictionFleet.forecast_all` for served streams.
+    def forecast_rows(
+        self, rows: np.ndarray, *, full: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Forecast the item-ordered *rows*; each becomes its row's
+        pending forecast. Returns ``(values, normalized, labels)`` in
+        item order."""
+        n = rows.shape[0]
+        _, sel = self._order(rows, full)
+        values, normalized, labels = self._forecast_rows(sel, n)
+        self._pend_value[sel] = values
+        self._pend_norm[sel] = normalized
+        self._pend_label[sel] = labels
+        self._pend_valid[sel] = True
+        self._dirty[sel] = True
+        if full:
+            return values[rows], normalized[rows], labels[rows]
+        return values.copy(), normalized.copy(), labels
 
-        *names* is the fleet-ordered candidate list; streams not served
-        by the engine are skipped (the fleet loops over those).
+    def ingest_rows(
+        self, rows: np.ndarray, values: np.ndarray, *, full: bool
+    ) -> tuple[np.ndarray, list[int]]:
+        """Batched trained-stream ingest: audit, learn, latch breaches.
+
+        *rows* and *values* are item-ordered. Returns the learned labels
+        (item order) and the sorted item indices whose QA is latched
+        due — the streams the fleet must schedule. Leaves the stacked
+        state exactly where the per-stream loop in
+        :meth:`PredictionFleet.ingest` leaves the objects.
         """
-        self.prepare()
-        if not self._rows:
-            return {}
-        entries = [
-            e for name in names if (e := self._entries.get(name)) is not None
-        ]
-        if not entries:
-            return {}
-        rows = np.fromiter((e.row for e in entries), dtype=np.intp,
-                           count=len(entries))
-        values, normalized, labels = self._forecast_rows(rows)
-        out: dict[str, Forecast] = {}
-        for i, entry in enumerate(entries):
-            label = int(labels[i])
-            out[entry.name] = Forecast(
-                value=float(values[i]),
-                normalized_value=float(normalized[i]),
-                predictor_label=label,
-                predictor_name=_POOL_NAMES[label - 1],
-            )
-        return out
-
-    def ingest_batch(self, items: list) -> dict[str, int]:
-        """Batched trained-stream ingest: audit, learn, schedule retrains.
-
-        *items* is a list of ``(state, value)`` pairs for streams the
-        engine serves. Returns the learned label per stream. Mirrors
-        the per-stream loop in :meth:`PredictionFleet.ingest` exactly —
-        every per-stream state object (QA, selections, predictor
-        history, classifier memory) ends up in the identical state.
-        """
-        if not items:
-            return {}
         fleet = self._fleet
         tracer = fleet._tel.tracer if fleet._tel is not None else None
         t0 = perf_counter() if tracer is not None else 0.0
-        entries = [self._entries[state.name] for state, _ in items]
-        n = len(items)
-        rows = np.fromiter((e.row for e in entries), dtype=np.intp, count=n)
-        sel = self._selector(rows)
-        values = np.fromiter((v for _, v in items), dtype=np.float64, count=n)
+        n = rows.shape[0]
+        proc, sel = self._order(rows, full)
+        if full:
+            ordered = self._buf("row_values", (n,))
+            ordered[rows] = values
+            values = ordered
+        if int(self._jn[sel].max()) >= _HISTORY_JOURNAL:
+            self._flush_history(proc[self._jn[sel] >= _HISTORY_JOURNAL])
         mu = self._mu[sel]
         sigma = self._sigma[sel]
 
-        # 1. Audit the forecast that predicted this tick. Streams whose
-        # pending forecast is stale (or absent) get it recomputed in one
-        # batched pass, exactly like the loop's inline predictor.forecast().
-        pending_norm = self._buf("pending", (n,))
-        pending_name: list[str | None] = [None] * n
-        stale: list[int] = []
-        for i, (state, _) in enumerate(items):
-            if (
-                state.pending is not None
-                and state.pending_at == entries[i].predictor.history_length
-            ):
-                pending_norm[i] = state.pending.normalized_value
-                pending_name[i] = state.pending.predictor_name
-            else:
-                stale.append(i)
-        if stale:
-            stale_idx = np.asarray(stale, dtype=np.intp)
-            _, stale_norm, stale_labels = self._forecast_rows(rows[stale_idx])
-            pending_norm[stale_idx] = stale_norm
-            for j, i in enumerate(stale):
-                pending_name[i] = _POOL_NAMES[int(stale_labels[j]) - 1]
-        observed_norm = self._buf("observed", (n,))
-        np.subtract(values, mu, out=observed_norm)
-        np.divide(observed_norm, sigma, out=observed_norm)
-        if self.gather_free:
-            audited_events = self._record_audits_stacked(
-                items, entries, sel, rows, pending_norm, observed_norm,
-                pending_name,
+        # 1. Audit the forecast that predicted this tick. Rows without a
+        # valid pending forecast get it recomputed in one batched pass,
+        # exactly like the loop's inline predictor.forecast().
+        pending = self._buf("pending", (n,))
+        np.copyto(pending, self._pend_norm[sel])
+        plabels = self._pend_label[sel].copy()
+        valid = self._pend_valid[sel]
+        if not valid.all():
+            stale = np.flatnonzero(~valid)
+            srows = proc[stale]
+            _, stale_norm, stale_labels = self._forecast_rows(
+                self._selector(srows), stale.size
             )
-            if audited_events is not None:
-                fleet._note_audits_batch(audited_events)
-        else:
-            for i, (state, _) in enumerate(items):
-                audit = state.qa.record(
-                    float(pending_norm[i]), float(observed_norm[i])
-                )
-                fleet._note_audit(state.name, audit)
-                name = pending_name[i]
-                state.selections[name] = state.selections.get(name, 0) + 1
-                state.pending = None
+            pending[stale] = stale_norm
+            plabels[stale] = stale_labels
+        observed = self._buf("observed", (n,))
+        np.subtract(values, mu, out=observed)
+        np.divide(observed, sigma, out=observed)
+        sq = self._buf("qa_sq", (n,))
+        np.subtract(pending, observed, out=sq)
+        if not np.isfinite(sq).all():
+            self._raise_non_finite(rows, full, pending, observed)
+        np.multiply(sq, sq, out=sq)
+        self._record_audits(sel, proc, sq, full, rows)
+        self._dsel[proc, plabels - 1] += 1
+        self._pend_valid[sel] = False
         if tracer is not None:
             t1 = perf_counter()
             tracer.record("tick.audit", t1 - t0, batch=n, start=t0)
 
-        # 2. Advance histories and the stacked tail mirror.
-        values_list = values.tolist()
-        for i, entry in enumerate(entries):
-            entry.predictor._history.append(values_list[i])
-        self._shift_append(self._tails, sel, rows, values)
+        # 2. Journal the values and advance the stacked tails.
+        jn = self._jn[sel]
+        self._jv[proc, jn] = values
+        self._jn[sel] += 1
+        self._shift_append(self._tails, sel, proc, values)
         if tracer is not None:
             t2 = perf_counter()
             tracer.record("tick.window_stack", t2 - t1, batch=n, start=t1)
@@ -829,22 +952,16 @@ class BatchedTickEngine:
         np.divide(z, sigma[:, None], out=z)
         frames, targets = z[:, :w], z[:, w]
         ar = StackedARParams(self._ar_phi[sel], self._ar_mu[sel])
-        # `sq` stays freshly allocated (not scratch): per-stream
-        # `_recent_sq` deques hold views of its rows across ticks.
         errors = paper_pool_predict_all_stacked(frames, ar) - targets[:, None]
         np.multiply(errors, errors, out=errors)
-        sq = errors
         L = self._smoothing
         ring = self._sqring
-        self._shift_append(ring, sel, rows, sq)
-        counts = np.empty(n, dtype=np.int64)
-        for i, entry in enumerate(entries):
-            entry.predictor._recent_sq.append(sq[i])
-            entry.sq_count = min(entry.sq_count + 1, L)
-            counts[i] = entry.sq_count
+        self._shift_append(ring, sel, proc, errors)
+        counts = np.minimum(self._sqn[sel] + 1, L)
+        self._sqn[sel] = counts
         sums = self._buf("sums", (n, 3))
         ring_sel = ring[sel]
-        for count in np.unique(counts):
+        for count in np.unique(counts).tolist():
             grp = counts == count
             sums[grp] = ring_sel[grp, L - count :, :].sum(axis=1)
         labels = np.argmin(sums, axis=1).astype(np.int64) + 1
@@ -852,54 +969,134 @@ class BatchedTickEngine:
             t3 = perf_counter()
             tracer.record("tick.label_pool", t3 - t2, batch=n, start=t2)
 
-        # 4. Learn: append the (feature, label) pair to each classifier
-        # and mirror it into the stacked memory with one scatter. The ring
-        # must hold each memory's rows after its eviction, at most
+        # 4. Learn: write the (feature, label) pair into each ring. The
+        # ring must hold each memory's rows after its eviction, at most
         # max_memory: a full memory writes into the slot it evicts.
         feats = self._features(sel, frames)
-        hi = self._mem_hi[rows]
-        needed = int((hi + 1 - self._mem_lo[rows]).max())
+        hi = self._mem_hi[sel]
+        lo = self._mem_lo[sel]
         bound = self._mem_bound
+        needed = int((hi - lo).max()) + 1
         if bound is not None:
             needed = min(needed, bound)
         if needed > self._mem_cap:
             self._grow_memory(needed)
         slots = hi % self._mem_cap
-        self._mem_x[rows, slots] = feats
-        self._mem_y[rows, slots] = labels
-        self._mem_abs[rows, slots] = hi
-        self._mem_bb[rows, slots] = np.einsum("ij,ij->i", feats, feats)
-        self._mem_hi[rows] = hi + 1
-        if self.gather_free:
-            bulk_learn_rows(
-                [e.classifier for e in entries], feats, labels,
-                [e.max_memory for e in entries],
-            )
-        else:
-            for i, entry in enumerate(entries):
-                entry.classifier._append_rows(
-                    feats[i : i + 1], labels[i : i + 1]
-                )
-                entry.predictor._evict_if_needed()
-        learned: dict[str, int] = {}
-        label_list = labels.tolist()
-        lo = self._mem_lo
-        for i, (state, _) in enumerate(items):
-            entry = entries[i]
-            clf = entry.classifier
-            entry.predictor._windows_learned += 1
-            entry.synced_appended = clf._appended
-            lo[entry.row] = clf._discarded
-            learned[state.name] = label_list[i]
-            state.ticks += 1
-            if state.qa.retraining_due:
-                fleet._schedule(state, initial=False)
-        if bound is not None and self._mem_cap > bound:
-            # Only a ring widened past max_memory (see _ring_width) can
-            # keep an evicted row in a slot no new row overwrote.
-            self._kill_dead(rows)
+        self._mem_x[proc, slots] = feats
+        self._mem_y[proc, slots] = labels
+        self._mem_abs[proc, slots] = hi
+        self._mem_bb[proc, slots] = np.einsum("ij,ij->i", feats, feats)
+        hi = hi + 1
+        self._mem_hi[sel] = hi
+        if bound is not None:
+            lo = np.maximum(lo, hi - bound)
+            self._mem_lo[sel] = lo
+            if self._mem_cap > bound:
+                # Only a ring widened past max_memory (see _ring_width)
+                # can keep an evicted row in a slot no new row overwrote.
+                self._kill_dead(proc)
+        auto = self._auto_tree[sel]
+        if auto.any():
+            grown = auto & (hi - lo >= _AUTO_TREE_THRESHOLD)
+            for r in proc[grown].tolist():
+                self._demoted.append(self._rows[r])
+        self._dticks[sel] += 1
+        self._dlearned[sel] += 1
+        self._dirty[sel] = True
+        self._pdirty[sel] = True
+        due = np.flatnonzero(self._qa_due[sel])
+        if due.size and full:
+            due = np.sort(self._item_index(rows)[due])
         if tracer is not None:
             tracer.record(
                 "tick.memory_learn", perf_counter() - t3, batch=n, start=t3
             )
-        return learned
+        return (labels[rows] if full else labels), due.tolist()
+
+    @staticmethod
+    def _item_index(rows: np.ndarray) -> np.ndarray:
+        """Inverse of a full item-order permutation: row -> item index."""
+        inv = np.empty(rows.shape[0], dtype=np.intp)
+        inv[rows] = np.arange(rows.shape[0], dtype=np.intp)
+        return inv
+
+    def _record_audits(self, sel, proc, sq, full, rows) -> None:
+        """Record one (prediction, observation) pair per selected row.
+
+        Bit-identical to ``qa.record`` per stream: the running sum
+        replays the per-record subtract/add, the audit boundary is one
+        modulo over the stacked step counters, and window MSEs are
+        grouped trailing-slice row-sums over the ring (the summation
+        order ``np.mean`` uses over the deque). Audits go to the
+        journal; only breaching rows touch their QA objects.
+        """
+        w = self._qa_window
+        ring = self._qa_ring
+        qa_sum = self._qa_sum[sel]
+        evicted = np.where(
+            self._qa_count[sel] == w, qa_sum - ring[sel, 0], qa_sum
+        )
+        np.add(evicted, sq, out=evicted)
+        self._qa_sum[sel] = evicted
+        self._shift_append(ring, sel, proc, sq)
+        counts = np.minimum(self._qa_count[sel] + 1, w)
+        self._qa_count[sel] = counts
+        steps = self._qa_step[sel] + 1
+        self._qa_step[sel] = steps
+        audited = np.flatnonzero(steps % self._qa_interval == 0)
+        if not audited.size:
+            return
+        ring_sel = ring[sel]
+        mses = np.empty(audited.size, dtype=np.float64)
+        acounts = counts[audited]
+        for count in np.unique(acounts).tolist():
+            grp = acounts == count
+            # Trailing slices of fancy-selected rows are contiguous
+            # copies, so this row-sum reduces each window in the exact
+            # order np.mean reduces the per-stream deque.
+            mses[grp] = ring_sel[audited[grp], w - count :].sum(axis=1) / count
+        arows = proc[audited]
+        asteps = steps[audited]
+        self._audit_log.append((arows, asteps, mses))
+        breached = np.flatnonzero(mses > self._qa_threshold)
+        if full and breached.size > 1:
+            # Latch, call back, and narrate in item order.
+            breached = breached[
+                np.argsort(self._item_index(rows)[arows[breached]])
+            ]
+        narrated = self._note_breaches(
+            arows[breached].tolist(), asteps[breached].tolist(),
+            mses[breached].tolist(),
+        )
+        if self._fleet._tel is not None:
+            self._fleet._note_audits_batch(narrated, audited.size)
+
+    def _note_breaches(self, rows, steps, mses) -> list:
+        """Latch each breaching row's QA and run its breach callback.
+
+        Returns the ``(stream, audit)`` pairs for the fleet's telemetry.
+        """
+        narrated = []
+        for r, step, mse in zip(rows, steps, mses):
+            entry = self._rows[r]
+            qa = entry.qa
+            record = AuditRecord(step, mse, True)
+            qa._retraining_due = True
+            self._qa_due[r] = True
+            if qa.on_breach is not None:
+                # The callback sees the QA exactly as qa.record leaves it.
+                self._dirty[r] = True
+                self._settle_rows(np.array([r], dtype=np.intp))
+                qa.on_breach(record)
+            narrated.append((entry.name, record))
+        return narrated
+
+    def _raise_non_finite(self, rows, full, pending, observed) -> None:
+        """Replay a non-finite audit exactly like the per-stream loop:
+        records land in item order until the offending pair raises."""
+        entries = [self._rows[r] for r in rows.tolist()]
+        self.release_all()
+        for i, entry in enumerate(entries):
+            j = int(rows[i]) if full else i
+            entry.qa.record(float(pending[j]), float(observed[j]))
+        raise AssertionError("finite errors must have raised")  # pragma: no cover

@@ -51,6 +51,7 @@ from collections import deque
 from collections.abc import Iterable, Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
@@ -63,7 +64,7 @@ from repro.exceptions import ConfigurationError, NotFittedError
 from repro.experiments.report import format_table
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.parallel.pool_exec import ParallelConfig, parallel_map
-from repro.serving.engine import BatchedTickEngine
+from repro.serving.engine import FALLBACK_REASONS, BatchedTickEngine
 from repro.serving.label_cache import (
     LabelCache,
     config_fingerprint,
@@ -72,6 +73,12 @@ from repro.serving.label_cache import (
 from repro.serving.trainer import DEFAULT_MIN_SHARD_STREAMS, BatchedTrainEngine
 
 __all__ = ["FleetConfig", "PredictionFleet", "FleetMetrics", "StreamMetrics"]
+
+_POOL_NAME_ARRAY = np.array(["LAST", "AR", "SW_AVG"], dtype=object)
+# ``_make_forecast((value, normalized, label, name))``: a Forecast
+# without the NamedTuple constructor's argument handling.
+_make_forecast = functools.partial(tuple.__new__, Forecast)
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -455,7 +462,7 @@ class _FleetInstruments:
         "ticks", "observations", "forecasts", "audits", "breaches",
         "trains", "retrains", "deferrals", "streams", "trained", "pending",
         "inflight", "cache_hits", "cache_misses", "cache_spliced",
-        "memory_slots", "memory_live_ratio",
+        "memory_slots", "memory_live_ratio", "fallback",
     )
 
     def __init__(self, registry):
@@ -519,6 +526,31 @@ class _FleetInstruments:
             "repro_engine_memory_live_ratio",
             "Live k-NN memory rows / (engine rows x ring slots).",
         )
+        self.fallback = {
+            reason: registry.gauge(
+                "repro_fleet_fallback_streams",
+                "Streams served by the per-stream loop, by reason.",
+                reason=reason,
+            )
+            for reason in FALLBACK_REASONS
+        }
+
+
+class _Plan(NamedTuple):
+    """How one batch of stream names is served (see ``_plan``).
+
+    ``served`` lists the engine-served names in batch order, ``pos``
+    their positions in the batch (``None`` when every name is served)
+    and ``rows`` their engine rows; ``full`` says ``rows`` covers every
+    occupied engine row. ``others`` are the positions of the remaining
+    names (warming up, or served by the per-stream loop).
+    """
+
+    served: list
+    pos: "np.ndarray | None"
+    rows: np.ndarray
+    full: bool
+    others: list
 
 
 class PredictionFleet:
@@ -564,6 +596,12 @@ class PredictionFleet:
     ):
         self.config = config if config is not None else FleetConfig()
         self._streams: dict[str, _StreamState] = {}
+        # Registration-ordered names, and the cached serving plan for a
+        # batch of exactly those names (rebuilt when the streams or the
+        # engine's rows change; _roster_seq counts the former).
+        self._names: tuple[str, ...] = ()
+        self._roster_seq = 0
+        self._plan_cache: "tuple[tuple[int, int], _Plan] | None" = None
         # Created lazily so persistence round-trips and pickling never
         # depend on the engine's internal tensors.
         self._engine: "BatchedTickEngine | None" = None
@@ -621,6 +659,7 @@ class PredictionFleet:
         if self._tel is not None:
             self._tel.registry.add_collector(self._flush_selections)
             self._tel.registry.add_collector(self._collect_engine_memory)
+            self._tel.registry.add_collector(self._collect_fallbacks)
         for name in streams:
             self.add_stream(name)
 
@@ -644,7 +683,7 @@ class PredictionFleet:
     @property
     def stream_names(self) -> tuple[str, ...]:
         """Registered stream names in insertion order."""
-        return tuple(self._streams)
+        return self._names
 
     def __len__(self) -> int:
         return len(self._streams)
@@ -663,6 +702,8 @@ class PredictionFleet:
         state = _StreamState(name, self.config)
         state.epoch = self._next_epoch()
         self._streams[name] = state
+        self._names += (name,)
+        self._roster_seq += 1
         if self._tel is not None:
             self._m.streams.set(len(self._streams))
             self._tel.events.emit(
@@ -678,11 +719,15 @@ class PredictionFleet:
         """
         state = self._require_stream(name)
         self._clear_due(state)
+        if self._engine is not None:
+            self._engine.release(name)
         # Settle any unflushed selections while the state still exists.
         # The registry keeps the stream's selection series (scrapes stay
         # monotone); only the local caches are pruned.
         self._flush_selections()
         del self._streams[name]
+        self._names = tuple(self._streams)
+        self._roster_seq += 1
         self._label_cache.drop(name)
         for key in [k for k in self._sel_counters if k[0] == name]:
             del self._sel_counters[key]
@@ -697,6 +742,24 @@ class PredictionFleet:
     def is_trained(self, name: str) -> bool:
         """Whether *name*'s model exists (its warm-up has completed)."""
         return self._require_stream(name).predictor is not None
+
+    def stream_state(self, name: str) -> _StreamState:
+        """*name*'s serving state, settled, for reading or mutating.
+
+        The batched engine owns the tick state of the streams it serves
+        and writes it back to the per-stream objects only on demand;
+        this accessor settles the stream and hands its engine row back,
+        so the returned state's ``predictor``, ``qa``, ``selections``,
+        ``ticks`` and ``pending`` are current and may be changed — the
+        next batched operation reloads the stream from them.
+        """
+        state = self._require_stream(name)
+        engine = self._engine
+        if engine is not None:
+            engine.release(name)
+            engine.notice(name)
+            self._roster_seq += 1
+        return state
 
     # -- batched serving ----------------------------------------------------
 
@@ -723,46 +786,52 @@ class PredictionFleet:
         stream is warming up). The whole batch is validated before any
         stream is touched.
         """
-        clean: dict[str, float] = {}
-        for name, value in values.items():
-            self._require_stream(name)
-            value = float(value)
-            if not np.isfinite(value):
-                raise ConfigurationError(
-                    f"value for stream {name!r} must be finite, got {value}"
-                )
-            clean[name] = value
+        tel = self._tel
+        if tel is not None:
+            t0 = perf_counter()
+            keys, arr = self._validate(values)
+            tel.tracer.record(
+                "tick.validate", perf_counter() - t0, len(keys), start=t0
+            )
+        else:
+            keys, arr = self._validate(values)
 
         # One tick of the due-stamp clock per ingest call: every stream
         # that first becomes due during this call shares the same stamp,
         # so batched and per-stream processing order the queue alike.
         self._due_seq += 1
-        tel = self._tel
         if tel is not None:
             self._m.ticks.inc()
-            self._m.observations.inc(len(clean))
+            self._m.observations.inc(len(keys))
             if tel.flight is not None:
                 tel.flight.set_tick(self._due_seq)
             self._breaches_this_tick = 0
 
-        batch_learned: dict[str, int] = {}
-        if batched:
-            engine = self._get_engine()
-            engine.prepare()
-            batch_items = [
-                (self._streams[name], value)
-                for name, value in clean.items()
-                if self._streams[name].predictor is not None
-                and engine.serves(name)
-            ]
-            batch_learned = engine.ingest_batch(batch_items)
-
-        loop_n = len(clean) - len(batch_learned)
-        if tel is not None and loop_n:
-            with tel.tracer.span("tick.per_stream_loop", batch=loop_n):
-                learned = self._ingest_per_stream(clean, batch_learned)
+        plan = self._plan(self._serving_engine(batched), keys)
+        if plan.served:
+            labels, due = self._engine.ingest_rows(
+                plan.rows, arr if plan.pos is None else arr[plan.pos],
+                full=plan.full,
+            )
+            for i in due:
+                self._schedule(self._streams[plan.served[i]], initial=False)
+        looped: dict[str, int | None] = {}
+        if plan.others:
+            vals = arr.tolist()
+            items = [(keys[i], vals[i]) for i in plan.others]
+            if tel is not None:
+                with tel.tracer.span("tick.per_stream_loop", batch=len(items)):
+                    looped = self._ingest_per_stream(items)
+            else:
+                looped = self._ingest_per_stream(items)
+        if not plan.served:
+            learned = looped
+        elif not plan.others:
+            learned = dict(zip(plan.served, labels.tolist()))
         else:
-            learned = self._ingest_per_stream(clean, batch_learned)
+            learned = dict.fromkeys(keys)
+            learned.update(zip(plan.served, labels.tolist()))
+            learned.update(looped)
 
         if self._trigger is not None and self._breaches_this_tick:
             self._trigger.note_breaches(
@@ -773,22 +842,47 @@ class PredictionFleet:
         # model; record the value so the drained model replays it —
         # before any drain below, which must see this tick's values.
         if self._async is not None and self._async.inflight:
-            self._async.note_values(clean)
+            self._async.note_values(dict(zip(keys, arr.tolist())))
 
         if self.config.auto_retrain:
             self.run_pending_retrains(batched=batched)
         return learned
 
-    def _ingest_per_stream(
-        self, clean: dict[str, float], batch_learned: dict[str, int]
-    ) -> dict[str, int | None]:
+    def _validate(self, values: Mapping[str, float]) -> tuple[tuple, np.ndarray]:
+        """``(names, float64 values)`` of one ingest batch, validated.
+
+        The common batch — known names, numbers, all finite — is checked
+        in bulk; anything else goes through the per-item loop, which
+        raises the same error the first offending item always raised.
+        """
+        keys = tuple(values)
+        if keys == self._names or self._streams.keys() >= values.keys():
+            try:
+                arr = np.fromiter(
+                    values.values(), dtype=np.float64, count=len(keys)
+                )
+            except (TypeError, ValueError):
+                arr = None
+            if arr is not None and np.isfinite(arr).all():
+                return keys, arr
+        clean: dict[str, float] = {}
+        for name, value in values.items():
+            self._require_stream(name)
+            value = float(value)
+            if not np.isfinite(value):
+                raise ConfigurationError(
+                    f"value for stream {name!r} must be finite, got {value}"
+                )
+            clean[name] = value
+        return tuple(clean), np.fromiter(
+            clean.values(), dtype=np.float64, count=len(clean)
+        )
+
+    def _ingest_per_stream(self, items: list) -> dict[str, int | None]:
         """The per-stream tick loop: warm-up buffering plus the fallback
         serve path for streams the batched engine does not cover."""
         learned: dict[str, int | None] = {}
-        for name, value in clean.items():
-            if name in batch_learned:
-                learned[name] = batch_learned[name]
-                continue
+        for name, value in items:
             state = self._streams[name]
             if state.predictor is None:
                 state.buffer.append(value)
@@ -836,12 +930,45 @@ class PredictionFleet:
         to the per-stream loop (``batched=False``), just a handful of
         NumPy ops instead of N Python call chains.
         """
-        targets = self.stream_names if names is None else tuple(names)
-        for name in targets:
-            self._require_stream(name)
-        batch: dict[str, Forecast] = {}
-        if batched:
-            batch = self._get_engine().forecast_batch(targets)
+        if names is None:
+            targets = self._names
+        else:
+            targets = tuple(dict.fromkeys(names))
+            for name in targets:
+                self._require_stream(name)
+        tel = self._tel
+        plan = self._plan(self._serving_engine(batched), targets)
+        if plan.served:
+            values, normalized, labels = self._engine.forecast_rows(
+                plan.rows, full=plan.full
+            )
+        looped = any(
+            self._streams[targets[i]].predictor is not None
+            for i in plan.others
+        )
+        if tel is not None:
+            t0 = perf_counter()
+        batch = zip(plan.served, map(_make_forecast, zip(
+            values.tolist(), normalized.tolist(), labels.tolist(),
+            _POOL_NAME_ARRAY[labels - 1].tolist(),
+        ))) if plan.served else ()
+        if not looped:
+            out = dict(batch)
+        if tel is not None:
+            tel.tracer.record(
+                "read.assemble", perf_counter() - t0, len(plan.served),
+                start=t0,
+            )
+        if looped:
+            out = self._forecast_per_stream(targets, dict(batch))
+        if tel is not None:
+            self._m.forecasts.inc(len(out))
+        return out
+
+    def _forecast_per_stream(
+        self, targets: tuple, batch: dict[str, Forecast]
+    ) -> dict[str, Forecast]:
+        """Merge engine forecasts with the per-stream loop's, in order."""
         tel = self._tel
         span = None
         if tel is not None:
@@ -856,19 +983,17 @@ class PredictionFleet:
                 span.__enter__()
         out: dict[str, Forecast] = {}
         for name in targets:
-            state = self._streams[name]
-            if state.predictor is None:
-                continue
             fc = batch.get(name)
             if fc is None:
+                state = self._streams[name]
+                if state.predictor is None:
+                    continue
                 fc = state.predictor.forecast()
-            state.pending = fc
-            state.pending_at = state.predictor.history_length
+                state.pending = fc
+                state.pending_at = state.predictor.history_length
             out[name] = fc
         if span is not None:
             span.__exit__(None, None, None)
-        if tel is not None:
-            self._m.forecasts.inc(len(out))
         return out
 
     def forecast(self, name: str) -> Forecast:
@@ -879,9 +1004,14 @@ class PredictionFleet:
                 f"stream {name!r} is still warming up "
                 f"({len(state.buffer)}/{self.config.min_train} values)"
             )
+        engine = self._engine
+        if engine is not None:
+            engine.settle((name,))
         fc = state.predictor.forecast()
         state.pending = fc
         state.pending_at = state.predictor.history_length
+        if engine is not None:
+            engine.note_pending(name, fc)
         if self._tel is not None:
             self._m.forecasts.inc()
         return fc
@@ -989,6 +1119,10 @@ class PredictionFleet:
         the asynchronous pipeline ships it to the pool.
         """
         cfg = self.config
+        if self._engine is not None:
+            # Only the stream state and history: the predictors whose
+            # learned state is left behind are replaced by this round.
+            self._engine.settle(due, predictors=False)
         cold_names: list[str] = []
         cold_histories: list[np.ndarray] = []
         inc_names: list[str] = []
@@ -1113,6 +1247,9 @@ class PredictionFleet:
         cannot diverge between the modes. Returns whether the swap was
         a retrain (vs. an initial train).
         """
+        engine = self._engine
+        if engine is not None:
+            engine.release(state.name, predictor=False)
         was_retrain = state.predictor is not None
         if was_retrain:
             state.retrain_count += 1
@@ -1136,6 +1273,9 @@ class PredictionFleet:
                 params_fp,
             )
         state.predictor = predictor
+        if engine is not None:
+            engine.notice(state.name)
+        self._roster_seq += 1
         state.epoch = self._next_epoch()
         state.buffer.clear()
         state.pending = None
@@ -1292,6 +1432,7 @@ class PredictionFleet:
 
     def metrics(self) -> FleetMetrics:
         """Point-in-time snapshot of the whole fleet."""
+        self._settle()
         rows = []
         merged: dict[str, int] = {}
         total_ticks = 0
@@ -1373,6 +1514,48 @@ class PredictionFleet:
         if self._engine is None:
             self._engine = BatchedTickEngine(self)
         return self._engine
+
+    def _serving_engine(self, batched: bool) -> "BatchedTickEngine | None":
+        """The prepared engine for a batched operation; for a per-stream
+        one, ``None`` after handing every served stream back."""
+        if batched:
+            engine = self._get_engine()
+            engine.prepare()
+            return engine
+        if self._engine is not None:
+            self._engine.release_all()
+        return None
+
+    def _settle(self) -> None:
+        """Bring every served stream's objects up to date."""
+        if self._engine is not None:
+            self._engine.settle()
+
+    def _plan(self, engine: "BatchedTickEngine | None", names: tuple) -> _Plan:
+        """Which of *names* the engine serves, and on which rows.
+
+        Cached for the registration-ordered batch — every steady tick's
+        shape — so the per-tick cost is one tuple comparison.
+        """
+        if engine is None or not engine.n_rows:
+            return _Plan([], None, _NO_ROWS, False, list(range(len(names))))
+        steady = names == self._names
+        key = (self._roster_seq, engine.layout)
+        if steady and self._plan_cache is not None and self._plan_cache[0] == key:
+            return self._plan_cache[1]
+        rows = [engine.row_of(name) for name in names]
+        pos = [i for i, row in enumerate(rows) if row is not None]
+        others = [i for i, row in enumerate(rows) if row is None]
+        plan = _Plan(
+            served=[names[i] for i in pos],
+            pos=np.array(pos, dtype=np.intp) if others else None,
+            rows=np.array([rows[i] for i in pos], dtype=np.intp),
+            full=len(pos) == engine.n_rows,
+            others=others,
+        )
+        if steady:
+            self._plan_cache = (key, plan)
+        return plan
 
     def _get_train_engine(self) -> BatchedTrainEngine:
         if self._train_engine is None:
@@ -1501,6 +1684,7 @@ class PredictionFleet:
         tel = self._tel
         if tel is None:
             return
+        self._settle()
         counters = self._sel_counters
         flushed = self._sel_flushed
         for name, state in list(self._streams.items()):
@@ -1534,6 +1718,21 @@ class PredictionFleet:
         self._m.memory_slots.set(slots)
         self._m.memory_live_ratio.set(live_ratio)
 
+    def _collect_fallbacks(self) -> None:
+        """Settle the per-reason fallback gauges (a registry collector)."""
+        if self._m is None:
+            return
+        counts = dict.fromkeys(FALLBACK_REASONS, 0)
+        engine = self._engine
+        for name, state in self._streams.items():
+            if engine is not None and engine.serves(name):
+                continue
+            reason = self._get_engine().fallback_reason(state)
+            if reason is not None:
+                counts[reason] += 1
+        for reason, count in counts.items():
+            self._m.fallback[reason].set(count)
+
     def _note_audit(self, name: str, audit: "AuditRecord | None") -> None:
         """Record one QA audit (and breach) with the telemetry, if any.
 
@@ -1561,20 +1760,23 @@ class PredictionFleet:
             )
 
     def _note_audits_batch(
-        self, audited: "list[tuple[str, AuditRecord]]"
+        self, audited: "list[tuple[str, AuditRecord]]",
+        n_audited: int | None = None,
     ) -> None:
         """One tick's QA audits, counters aggregated across streams.
 
         Same final counter values and the same breach event stream as
         calling :meth:`_note_audit` once per stream — the engine's
-        stacked QA path hands over only the rows that actually audited,
-        so the aggregate increments replace S calls with two. Only
-        called with telemetry enabled.
+        stacked QA path hands over the breaching audits and, as
+        *n_audited*, how many ran in all (default ``len(audited)``), so
+        the aggregate increments replace S calls with two. Only called
+        with telemetry enabled.
         """
-        if not audited:
+        n = len(audited) if n_audited is None else n_audited
+        if not n:
             return
         tel = self._tel
-        self._m.audits.inc(len(audited))
+        self._m.audits.inc(n)
         breaches = 0
         for name, audit in audited:
             if audit.breached:

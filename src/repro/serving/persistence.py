@@ -149,6 +149,7 @@ def save_fleet(fleet, directory) -> None:
     the original would have.
     """
     fleet.drain_retrains(wait=True)
+    fleet._settle()
     directory = Path(directory)
     stream_dir = directory / _STREAM_DIR
     stream_dir.mkdir(parents=True, exist_ok=True)

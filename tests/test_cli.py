@@ -177,6 +177,7 @@ class TestObsCommand:
         assert "tick.knn_query" in out
         assert "train.pca_eigh" in out
         assert "Engine k-NN memory ring:" in out
+        assert "Per-stream fallback streams:" in out
         assert "Events:" in out
 
     def test_prom_format_parses(self, capsys):
@@ -189,6 +190,9 @@ class TestObsCommand:
         assert parsed[("repro_fleet_streams", ())] == 4.0
         assert parsed[("repro_engine_memory_slots", ())] > 0
         assert 0.0 < parsed[("repro_engine_memory_live_ratio", ())] <= 1.0
+        assert parsed[
+            ("repro_fleet_fallback_streams", (("reason", "qa_policy"),))
+        ] == 0.0
 
     def test_json_format(self, capsys):
         import json

@@ -108,13 +108,6 @@ class TestDiscardOldest:
             clf.partial_fit(X[i], y[i])
         clf.discard_oldest(7)
         assert (clf.appended_total_, clf.discarded_total_) == (30, 7)
-        rows_x, rows_y, first = clf.rows_since(25)
-        assert first == 25
-        np.testing.assert_array_equal(rows_x, X[25:30])
-        np.testing.assert_array_equal(rows_y, y[25:30])
-        # Asking for already-retired rows clamps to the live window.
-        _, _, first = clf.rows_since(0)
-        assert first == 7
 
     def test_must_keep_k_samples(self):
         clf, _, _ = self._grown()
@@ -146,3 +139,30 @@ class TestDiscardOldest:
         np.testing.assert_array_equal(
             clf.predict(queries), fresh.predict(queries)
         )
+
+
+class TestSyncRows:
+    """``sync_rows`` lands where one-row appends plus oldest-row
+    evictions would, given only the rows that are still live."""
+
+    @pytest.mark.parametrize("n_new,cap", [(0, 12), (3, 12), (7, 12), (40, 12), (5, None)])
+    def test_matches_append_and_evict_sequence(self, n_new, cap):
+        rng = np.random.default_rng(n_new)
+        X0 = rng.normal(size=(12, 2))
+        y0 = rng.integers(1, 4, size=12)
+        Xn = rng.normal(size=(n_new, 2))
+        yn = rng.integers(1, 5, size=n_new)
+        ref = KNNClassifier(k=3).fit(X0, y0)
+        for i in range(n_new):
+            ref.partial_fit(Xn[i : i + 1], yn[i : i + 1])
+            if cap is not None and ref.n_samples_ > cap:
+                ref.discard_oldest(ref.n_samples_ - cap)
+        lo, hi = ref.discarded_total_, ref.appended_total_
+        first = max(12, lo)
+        synced = KNNClassifier(k=3).fit(X0, y0)
+        synced.sync_rows(Xn[first - 12 :], yn[first - 12 :], lo, hi)
+        np.testing.assert_array_equal(synced._X, ref._X)
+        np.testing.assert_array_equal(synced._y, ref._y)
+        assert (synced.appended_total_, synced.discarded_total_) == (hi, lo)
+        assert synced._label_counts == ref._label_counts
+        np.testing.assert_array_equal(synced.classes_, ref.classes_)

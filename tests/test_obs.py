@@ -544,19 +544,18 @@ class TestFleetTelemetry:
         assert narrative(batched) == narrative(loop)
 
     def test_gather_free_vs_legacy_telemetry_parity(self):
-        """The aggregated audit notes (one counter increment per tick,
-        not per stream) land on the same final counter values and the
-        same event narrative as the per-stream ``_note_audit`` calls of
-        legacy mode."""
+        """The engine's aggregated audit notes (one counter increment
+        per tick, not per stream) land on the same final counter values
+        and the same event narrative as the per-stream ``_note_audit``
+        calls of the per-stream loop ("legacy")."""
         config = small_config(max_retrains_per_tick=1)
 
-        def storm(gather_free):
+        def storm(batched):
             fleet = PredictionFleet(
                 config, streams=["a", "b", "c", "d"], telemetry=True
             )
-            fleet._get_engine().gather_free = gather_free
             feeds = drift_feeds(fleet.stream_names, 160, drift_at=80)
-            serve(fleet, feeds, 0, 160, batched=True)
+            serve(fleet, feeds, 0, 160, batched=batched)
             return fleet
 
         fast, legacy = storm(True), storm(False)

@@ -196,8 +196,8 @@ class TestAsyncSyncBitParity:
         assert async_fleet._async.inflight == 0
         for name in due:
             _assert_same_model(
-                async_fleet._streams[name].predictor,
-                sync._streams[name].predictor,
+                async_fleet.stream_state(name).predictor,
+                sync.stream_state(name).predictor,
                 name=name,
             )
         fa = sync.forecast_all()
@@ -225,8 +225,8 @@ class TestAsyncSyncBitParity:
         assert sorted(integrated) == sorted(due)
         for name in due:
             _assert_same_model(
-                async_fleet._streams[name].predictor,
-                sync._streams[name].predictor,
+                async_fleet.stream_state(name).predictor,
+                sync.stream_state(name).predictor,
                 name=name,
             )
 
@@ -267,7 +267,7 @@ class TestStalenessGuards:
         assert [e["stream"] for e in dropped] == [victim]
         assert dropped[0]["data"]["reason"] == "stale"
         # The re-added stream is untouched: fresh warm-up, no model.
-        assert fleet._streams[victim].predictor is None
+        assert fleet.stream_state(victim).predictor is None
 
     def test_inflight_stream_never_rescheduled(self, tmp_path):
         directory, names, due = _due_fleet(tmp_path)
@@ -439,8 +439,8 @@ class TestPersistenceFlush:
         # comparison is the persisted surface: history and forecasts.
         for name in due:
             np.testing.assert_array_equal(
-                restored._streams[name].predictor.recent_history(),
-                fleet._streams[name].predictor.recent_history(),
+                restored.stream_state(name).predictor.recent_history(),
+                fleet.stream_state(name).predictor.recent_history(),
                 err_msg=name,
             )
         assert restored._due_count == len(restored.pending_retrains)
@@ -493,8 +493,8 @@ class TestBrokenPoolDegradation:
         # (no ticks flew between submission and the broken drain).
         for name in due:
             _assert_same_model(
-                fleet._streams[name].predictor,
-                sync._streams[name].predictor,
+                fleet.stream_state(name).predictor,
+                sync.stream_state(name).predictor,
                 name=name,
             )
 

@@ -273,35 +273,35 @@ class TestBatchedCost:
 
 
 class TestGatherFree:
-    """The gather-free fast path (views + recycled scratch + stacked QA
-    + bulk learn) must be bit-identical to the legacy engine mode it
-    replaces, and must actually stop allocating in steady state."""
+    """The engine's fast path (views + recycled scratch + stacked QA +
+    engine-owned memory) must be bit-identical to the per-stream loop
+    ("legacy" below), and must actually stop allocating in steady
+    state."""
 
     def _drive_pair(self, ticks=120, n_streams=6, seed=3):
         config = FleetConfig(qa_threshold=4.0)
         names = [f"s{i}" for i in range(n_streams)]
         fast = PredictionFleet(config, streams=names)
         legacy = PredictionFleet(config, streams=names)
-        legacy._get_engine().gather_free = False
         feed = _walk_feed(seed=seed)
         for t in range(ticks):
             vals = feed(t, names)
             fa = fast.forecast_all(batched=True)
-            fb = legacy.forecast_all(batched=True)
+            fb = legacy.forecast_all(batched=False)
             assert fa == fb, f"forecast mismatch at tick {t}"
             la = fast.ingest(vals, batched=True)
-            lb = legacy.ingest(vals, batched=True)
+            lb = legacy.ingest(vals, batched=False)
             assert la == lb, f"learned-label mismatch at tick {t}"
             fast.run_pending_retrains()
-            legacy.run_pending_retrains()
+            legacy.run_pending_retrains(batched=False)
         return fast, legacy
 
     def test_legacy_mode_is_bit_identical(self):
         fast, legacy = self._drive_pair()
         _assert_same_state(fast, legacy)
         for name in fast.stream_names:
-            qa_a = fast._streams[name].qa
-            qa_b = legacy._streams[name].qa
+            qa_a = fast.stream_state(name).qa
+            qa_b = legacy.stream_state(name).qa
             assert tuple(qa_a._sq_errors) == tuple(qa_b._sq_errors), name
             assert qa_a._sq_sum == qa_b._sq_sum, name
             assert qa_a.state_dict() == qa_b.state_dict(), name
@@ -318,8 +318,6 @@ class TestGatherFree:
         assert engine._selector(full) == slice(0, len(engine._rows))
         gappy = np.array([0, 2], dtype=np.intp)
         assert engine._selector(gappy) is gappy
-        engine.gather_free = False
-        assert engine._selector(full) is full
 
     def test_steady_state_tick_recycles_scratch(self):
         """After one warm tick, further ticks reuse the same scratch
@@ -358,7 +356,7 @@ class TestGatherFree:
         fast = PredictionFleet(config, streams=names)
         loop = PredictionFleet(config, streams=names)
         for fleet in (fast, loop):
-            state = fleet._streams["b"]
+            state = fleet.stream_state("b")
             custom = CustomQA(
                 config.qa_threshold,
                 audit_window=config.audit_window,
@@ -385,6 +383,7 @@ def _assert_ring_consistent(fleet):
 
     Holds after any ``prepare`` (``forecast_all`` runs one first).
     """
+    fleet._settle()
     engine = fleet._engine
     for entry in engine._rows:
         clf = entry.classifier
@@ -510,7 +509,7 @@ class TestBoundedMemoryRing:
         def discard(t, batched, loop):
             if t in (80, 95):
                 for fleet in (batched, loop):
-                    fleet._streams["s1"].predictor._classifier.discard_oldest(
+                    fleet.stream_state("s1").predictor._classifier.discard_oldest(
                         10
                     )
 
@@ -531,7 +530,7 @@ class TestBoundedMemoryRing:
         def append(t, batched, loop):
             if t == 80:
                 for fleet in (batched, loop):
-                    clf = fleet._streams["s2"].predictor._classifier
+                    clf = fleet.stream_state("s2").predictor._classifier
                     clf.partial_fit(extra, np.resize(clf._y, extra.shape[0]))
 
         batched, _, widest = _drive_ring(
@@ -553,7 +552,7 @@ class TestBoundedMemoryRing:
             for fleet in (fast, loop):
                 fleet.ingest(vals, batched=False)
         for fleet in (fast, loop):
-            fleet._streams["b"].predictor.max_memory = 40
+            fleet.stream_state("b").predictor.max_memory = 40
         for t in range(70, 120):
             vals = feed(t, names)
             assert fast.forecast_all(batched=True) == loop.forecast_all(

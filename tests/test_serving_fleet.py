@@ -192,7 +192,7 @@ class TestRetraining:
         fleet.run_pending_retrains()
         feed(fleet, feeds, 40, 140)
         fleet.run_pending_retrains()
-        state = fleet._streams["drift"]
+        state = fleet.stream_state("drift")
         assert not state.qa.retraining_due
         assert state.qa.rolling_mse == 0.0
 

@@ -48,8 +48,8 @@ def _config(audit_window, audit_interval, **overrides):
 def _qa_state(fleet):
     """Every bit of per-stream QA state the stacked engine must preserve."""
     out = {}
-    for name, state in fleet._streams.items():
-        qa = state.qa
+    for name in fleet.stream_names:
+        qa = fleet.stream_state(name).qa
         out[name] = (
             tuple(qa.audits),
             qa.audits_total,
@@ -87,7 +87,7 @@ def _serve_pair(seed, audit_window, audit_interval, ticks, *, ack_at=None,
                 # Wire breach hooks only once streams are trained, so
                 # both paths see the same QA objects.
                 for name in names:
-                    qa = fleet._streams[name].qa
+                    qa = fleet.stream_state(name).qa
                     qa.on_breach = (
                         lambda rec, name=name, log=log: log.append(
                             (name, rec)
@@ -101,7 +101,7 @@ def _serve_pair(seed, audit_window, audit_interval, ticks, *, ack_at=None,
                 # An out-of-band reset, exactly what a retrain does —
                 # the engine must notice (version bump) and resync its
                 # ring mirror before the next tick's audits.
-                fleet._streams[names[0]].qa.acknowledge_retraining()
+                fleet.stream_state(names[0]).qa.acknowledge_retraining()
             fleet.run_pending_retrains(batched=batched)
         fleets.append(fleet)
         logs.append(log)
@@ -150,8 +150,9 @@ class TestStackedQAParity:
         """
         batched, loop, _, _ = _serve_pair(seed, 8, 4, 40)
         for fleet in (batched, loop):
-            for state in fleet._streams.values():
-                state.qa.load_state_dict(state.qa.state_dict())
+            for name in fleet.stream_names:
+                qa = fleet.stream_state(name).qa
+                qa.load_state_dict(qa.state_dict())
         names = list(batched._streams)
         feeds = {
             name: 10.0 + 2.0 * ar1_series(30, phi=0.9, seed=seed + 77 + i)

@@ -424,8 +424,8 @@ class TestFleetShardedParity:
             assert sharded.ingest(vals) == plain.ingest(vals), t
         assert plain.metrics().total_retrains > 0
         for name in names:
-            sp = sharded._streams[name].predictor
-            pp = plain._streams[name].predictor
+            sp = sharded.stream_state(name).predictor
+            pp = plain.stream_state(name).predictor
             assert (sp is None) == (pp is None), name
             if sp is not None:
                 _assert_same_model(sp, pp, name)
