@@ -25,20 +25,26 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from repro.core.config import LARConfig
+from repro.core.history import HistoryBuffer
 from repro.core.larpredictor import Forecast
 from repro.core.relabel import CachedLabels, plan_splice, relabel_group
 from repro.core.runner import StrategyRunner
 from repro.exceptions import ConfigurationError, InsufficientDataError, NotFittedError
 from repro.learn.knn import KNNClassifier
-from repro.preprocess.pipeline import PreparedData
 from repro.util.validation import as_series
 
-__all__ = ["OnlineLARPredictor", "FittedParts", "RelabelResult"]
+__all__ = ["OnlineLARPredictor", "FittedParts", "RelabelResult", "survivor_count"]
+
+
+def survivor_count(n_frames: int, max_memory: int | None) -> int:
+    """How many of *n_frames* freshly labelled memory rows survive the
+    ``max_memory`` trim (the newest ones). Training and relabelling
+    compute features and label counts for these rows only."""
+    return n_frames if max_memory is None else min(max_memory, n_frames)
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,12 @@ class FittedParts:
     predictor through :meth:`OnlineLARPredictor.from_fitted_parts`.
     Slices of stacked tensors are accepted everywhere — only values
     matter, not ownership.
+
+    ``features``/``labels`` are classifier memory rows, oldest first:
+    normally only the rows that survive the ``max_memory`` trim, with
+    ``discarded`` counting the older rows the trim retired (so row 0
+    has absolute index ``discarded``). Rows past the cap are trimmed
+    on assembly, so handing in every frame's row also works.
     """
 
     history: np.ndarray
@@ -59,8 +71,6 @@ class FittedParts:
     ar_mean: float
     ar_coefficients: np.ndarray
     ar_noise_variance: float
-    frames: np.ndarray
-    targets: np.ndarray
     features: np.ndarray
     labels: np.ndarray
     pca_mean: np.ndarray | None = None
@@ -72,6 +82,7 @@ class FittedParts:
     #: producer count whole bursts in one vectorized pass instead of a
     #: per-classifier reduction. ``None`` means "count them here".
     label_counts: dict[int, int] | None = None
+    discarded: int = 0
 
 
 @dataclass(frozen=True)
@@ -154,7 +165,7 @@ class OnlineLARPredictor:
         self.history_limit = history_limit
         self._runner = StrategyRunner(self.config)
         self._classifier: KNNClassifier | None = None
-        self._history: deque[float] = deque(maxlen=history_limit)
+        self._history = HistoryBuffer(maxlen=history_limit)
         # Trailing squared errors per pool member for online labelling.
         self._recent_sq: deque[np.ndarray] = deque(maxlen=self.label_smoothing)
         self._windows_learned = 0
@@ -190,21 +201,38 @@ class OnlineLARPredictor:
         for an explicit :meth:`retrain` window).
         """
         if n is None:
-            return np.asarray(self._history, dtype=np.float64)
+            return self._history.values().copy()
         n = int(n)
         if n < 0:
             raise ConfigurationError(f"n must be >= 0, got {n}")
-        return self._tail(n)
+        return self._tail(n).copy()
 
     def train(self, series) -> "OnlineLARPredictor":
-        """Initial training phase (identical to the batch LARPredictor)."""
+        """Initial training phase (identical to the batch LARPredictor).
+
+        Every frame is labelled (the smoothing window needs its
+        neighbours), but features are projected only for the rows that
+        survive the ``max_memory`` trim, and no training data is kept
+        once the memory is built.
+        """
         x = as_series(series, name="series", min_length=self.config.window + 2)
-        self._runner.fit(x)
-        train = self._runner.train_data
-        labels = self._runner.pool.best_labels(
-            train.frames, train.targets, smooth_window=self.label_smoothing
+        runner = self._runner
+        pipeline = runner.pipeline
+        pipeline.fit(x)
+        z = pipeline.normalizer.transform(x)
+        runner.pool.reset()
+        runner.pool.fit(z)
+        frames, targets = pipeline.framer.frames_with_targets(z)
+        labels = runner.pool.best_labels(
+            frames, targets, smooth_window=self.label_smoothing
         )
-        self._classifier = KNNClassifier(k=self.config.k).fit(train.features, labels)
+        n = labels.shape[0]
+        keep = survivor_count(n, self.max_memory)
+        tail = frames[n - keep :]
+        features = pipeline.pca.transform(tail) if pipeline.pca is not None else tail
+        self._classifier = KNNClassifier.from_rows(
+            features, labels[n - keep :], k=self.config.k, discarded=n - keep
+        )
         self._reset_stream_state(x)
         return self
 
@@ -268,23 +296,23 @@ class OnlineLARPredictor:
         ar.coefficients_ = np.asarray(parts.ar_coefficients, dtype=np.float64)
         ar.noise_variance_ = float(parts.ar_noise_variance)
         ar._fitted = True
-        runner._train = PreparedData(
-            frames=parts.frames, targets=parts.targets, features=parts.features
-        )
+        n = parts.labels.shape[0]
+        keep = survivor_count(n, online.max_memory)
         online._classifier = KNNClassifier.from_rows(
-            parts.features,
-            parts.labels,
+            parts.features[n - keep :],
+            parts.labels[n - keep :],
             k=online.config.k,
-            label_counts=parts.label_counts,
+            label_counts=parts.label_counts if keep == n else None,
+            discarded=parts.discarded + n - keep,
         )
-        online._reset_stream_state(np.asarray(parts.history, dtype=np.float64))
+        online._reset_stream_state(parts.history)
         return online
 
     def retrain(self, recent_series=None) -> "OnlineLARPredictor":
         """Full retrain (the QA path); defaults to the stored history."""
         if recent_series is None:
             self._require_trained()
-            recent_series = np.asarray(self._history)
+            recent_series = self.recent_history()
         return self.train(recent_series)
 
     def relabel(
@@ -341,7 +369,7 @@ class OnlineLARPredictor:
         pipeline = self._runner.pipeline
         normalizer = pipeline.normalizer
         ar = self._runner.pool[1]
-        frames, targets, sq, labels = relabel_group(
+        frames, _, sq, labels = relabel_group(
             x[None],
             np.array([normalizer.mean]),
             np.array([normalizer.std]),
@@ -355,7 +383,9 @@ class OnlineLARPredictor:
             cached_labels=cached_labels,
         )
         pca = pipeline.pca
-        features = pca.transform(frames[0]) if pca is not None else frames[0]
+        keep = survivor_count(n, self.max_memory)
+        tail = frames[0, n - keep :]
+        features = pca.transform(tail) if pca is not None else tail
         parts = FittedParts(
             history=x,
             norm_mean=normalizer.mean,
@@ -363,10 +393,9 @@ class OnlineLARPredictor:
             ar_mean=ar.mean_,
             ar_coefficients=ar.coefficients_,
             ar_noise_variance=ar.noise_variance_,
-            frames=frames[0],
-            targets=targets[0],
             features=features,
-            labels=labels[0],
+            labels=labels[0, n - keep :],
+            discarded=n - keep,
             pca_mean=None if pca is None else pca.mean_,
             pca_components=None if pca is None else pca.components_,
             pca_explained_variance=(
@@ -462,25 +491,18 @@ class OnlineLARPredictor:
     def _reset_stream_state(self, x: np.ndarray) -> None:
         """Post-training reset shared by :meth:`train` and
         :meth:`from_fitted_parts`: the trained history becomes the live
-        stream tail, online labelling context restarts, and the fresh
-        memory is trimmed to ``max_memory``."""
-        self._history = deque(x.tolist(), maxlen=self.history_limit)
+        stream tail (one slice copy into a fresh buffer) and online
+        labelling context restarts. The memory was built from its
+        ``max_memory`` survivors, so nothing is left to evict."""
+        self._history = HistoryBuffer(x, maxlen=self.history_limit)
         self._recent_sq.clear()
         self._windows_learned = 0
-        self._evict_if_needed()
 
     def _tail(self, n: int) -> np.ndarray:
-        """Last *n* history values in O(n) — never touches the full deque.
-
-        ``np.asarray(deque)`` walks every stored value, which made each
-        streaming step cost O(history); pulling *n* items off the right
-        end keeps per-step work constant for unbounded histories.
-        """
-        n = min(n, len(self._history))
-        out = np.fromiter(
-            islice(reversed(self._history), n), dtype=np.float64, count=n
-        )
-        return out[::-1]
+        """Last *n* history values (a view), in O(n) whatever the
+        stored history length — the per-step read of :meth:`forecast`
+        and :meth:`observe`."""
+        return self._history.tail(n)
 
     def _evict_if_needed(self) -> None:
         if self.max_memory is None:

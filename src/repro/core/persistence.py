@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.config import LARConfig
+from repro.core.history import HistoryBuffer
 from repro.core.larpredictor import LARPredictor
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.learn.base import Classifier
@@ -307,7 +308,7 @@ def save_online_larpredictor(online, path) -> None:
     _pack_runner(online._runner, meta, arrays)
     arrays["memory__X"] = np.asarray(clf._X, dtype=np.float64)
     arrays["memory__y"] = np.asarray(clf._y, dtype=np.int64)
-    arrays["history"] = np.asarray(online._history, dtype=np.float64)
+    arrays["history"] = online.recent_history()
     arrays["recent_sq"] = (
         np.stack(list(online._recent_sq), axis=0)
         if online._recent_sq
@@ -357,7 +358,7 @@ def load_online_larpredictor(path):
             f"got {meta['classifier'].get('type')!r}"
         )
     online._classifier = classifier.fit(memory_x, memory_y)
-    online._history = deque(history.tolist(), maxlen=online.history_limit)
+    online._history = HistoryBuffer(history, maxlen=online.history_limit)
     online._recent_sq = deque(
         [row for row in recent_sq], maxlen=online.label_smoothing
     )

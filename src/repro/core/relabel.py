@@ -208,25 +208,28 @@ def relabel_group(
         one across bursts to skip the per-call allocation).
 
     Returns ``(frames, targets, sq, labels)`` stacked over the group:
-    ``frames`` is the contiguous ``(S, N, window)`` tensor, ``targets``
-    ``(S, N)``, ``sq`` the *complete* ``(S, N, n_pool)`` squared-error
-    tensor (spliced prefix plus fresh suffix — ready to cache for the
-    next storm), and ``labels`` the ``(S, N)`` smoothed argmin labels.
+    ``frames`` is the ``(S, N, window)`` sliding-window *view* of the
+    z-scored histories (no copy — callers copy out the rows they keep,
+    typically only the ``max_memory`` survivors), ``targets`` the
+    ``(S, N)`` view of the next values, ``sq`` the *complete*
+    ``(S, N, n_pool)`` squared-error tensor (spliced prefix plus fresh
+    suffix — ready to cache for the next storm), and ``labels`` the
+    ``(S, N)`` smoothed argmin labels.
     """
     n_streams, length = histories.shape
     w = window
     n = length - w
     z = (histories - norm_means[:, None]) / norm_stds[:, None]
-    frames = np.ascontiguousarray(
-        np.lib.stride_tricks.sliding_window_view(z[:, :-1], w, axis=1)
-    )
+    frames = np.lib.stride_tricks.sliding_window_view(z[:, :-1], w, axis=1)
     targets = z[:, w:]
     sq = np.empty((n_streams, n, 3), dtype=np.float64)
     fresh_from = 0 if plan is None else min(plan.reuse, n)
     if fresh_from:
         np.stack(cached_sq, axis=0, out=sq[:, :fresh_from])
     if fresh_from < n:
-        fresh = frames[:, fresh_from:]
+        # Only the fresh frames are materialized: the kernels below
+        # then run on the same contiguous frame rows they always have.
+        fresh = np.ascontiguousarray(frames[:, fresh_from:])
         suffix = sq[:, fresh_from:]
         # Pool predictions via explicitly position-independent kernels:
         # every value is produced by elementwise ops (each individually

@@ -139,6 +139,7 @@ class KNNClassifier(Classifier):
         leaf_size: int = 16,
         weights: str = "uniform",
         label_counts: dict[int, int] | None = None,
+        discarded: int = 0,
     ) -> "KNNClassifier":
         """Build a fitted classifier directly from precomputed memory rows.
 
@@ -154,6 +155,14 @@ class KNNClassifier(Classifier):
         bursts in one vectorized pass) hands them in as *label_counts* —
         ``{label: count}`` in ascending label order, zero counts
         omitted — and the per-classifier counting pass is skipped.
+
+        *discarded* says the rows are the survivors of a memory that
+        retired its *discarded* oldest rows: the result then equals
+        ``from_rows(all_rows, ...)`` followed by
+        ``discard_oldest(discarded)`` — same live rows, labels, label
+        counts, classes, and absolute counters — without the retired
+        rows ever being built (a retrained online memory keeps only its
+        last ``max_memory`` rows).
         """
         clf = cls(k, algorithm=algorithm, leaf_size=leaf_size, weights=weights)
         X = np.ascontiguousarray(X, dtype=np.float64)
@@ -167,6 +176,9 @@ class KNNClassifier(Classifier):
             raise ConfigurationError("cannot build a classifier from zero rows")
         clf._n_features = X.shape[1]
         clf._fit(X, y, label_counts=label_counts)
+        if discarded:
+            clf._appended += discarded
+            clf._discarded = discarded
         # _fit already counted the labels in sorted order; materializing
         # classes_ from those keys skips a second np.unique pass.
         clf.classes_ = np.fromiter(

@@ -179,9 +179,7 @@ class AsyncRetrainPipeline:
         }
         from repro.serving import shard_exec
 
-        worker_cfg = shard_exec.WorkerConfig(
-            lar=cfg.lar, label_smoothing=cfg.label_smoothing
-        )
+        worker_cfg = engine._worker_config()
         if plan.cold_histories:
             if batched and engine.supported:
                 self._submit_cold_groups(

@@ -43,17 +43,19 @@ forecast the next ingest audits. The per-stream
 and :meth:`BatchedTickEngine.settle` brings them up to date in bulk —
 bit-identical to what the per-stream loop would have left. The fleet
 settles only where something reads those objects: the retrain
-partition (due streams only), ``metrics()``, ``save()``, the registry
-collectors, ``forecast(name)``, and every release of a row (a retrain
-swapping the predictor, ``remove_stream``, a KD-tree demotion).
+partition (due streams only), a retrain swapping the predictor,
+``metrics()``, ``save()``, the registry collectors, ``forecast(name)``,
+and every release of a row (``remove_stream``, a KD-tree demotion).
 
 A tick touches per-stream Python only for rows that need it: audits
 that breach (the QA latch, ``on_breach``, scheduling) and the streams
-the engine does not serve, which keep the per-stream loop. Membership
-changes arrive as events — :meth:`BatchedTickEngine.notice` for a
-stream that (re)trained, :meth:`BatchedTickEngine.release` for one the
-fleet takes back — so :meth:`BatchedTickEngine.prepare` costs
-O(changes), never a scan. Code outside the fleet that needs to read or
+the engine does not serve, which keep the per-stream loop. A served
+stream that retrains keeps its row: :meth:`BatchedTickEngine.swap`
+reloads it in place from the new predictor. Membership changes arrive
+as events — :meth:`BatchedTickEngine.notice` for a stream that trained
+without a row, :meth:`BatchedTickEngine.release` for one the fleet
+takes back — so :meth:`BatchedTickEngine.prepare` costs O(changes),
+never a scan. Code outside the fleet that needs to read or
 mutate a served stream's objects goes through
 :meth:`PredictionFleet.stream_state`, which settles the stream and
 hands its row back for a reload before the next tick.
@@ -111,7 +113,7 @@ __all__ = ["BatchedTickEngine", "FALLBACK_REASONS"]
 _POOL_NAMES = ("LAST", "AR", "SW_AVG")
 _MIN_ROW_CAPACITY = 4
 # Ticks of history values a row journals before they are flushed into
-# the predictor's history deque.
+# the predictor's history buffer.
 _HISTORY_JOURNAL = 256
 
 #: Why a trained stream is served per-stream instead of by the engine.
@@ -377,19 +379,12 @@ class BatchedTickEngine:
         if self._supported:
             self._noticed[name] = None
 
-    def release(self, name: str, *, predictor: bool = True) -> None:
-        """Settle *name*'s objects and free its row (no-op if unserved).
-
-        ``predictor=False`` leaves the outgoing predictor's learned
-        state (memory, labelling window, learned count) unsettled — for
-        a retrain swap, which discards that predictor right after.
-        """
+    def release(self, name: str) -> None:
+        """Settle *name*'s objects and free its row (no-op if unserved)."""
         entry = self._entries.get(name)
         if entry is None:
             return
-        self._settle_rows(
-            np.array([entry.row], dtype=np.intp), predictors=predictor
-        )
+        self._settle_rows(np.array([entry.row], dtype=np.intp))
         del self._entries[name]
         self._rows[entry.row] = None
         self._free.append(entry.row)
@@ -427,9 +422,17 @@ class BatchedTickEngine:
         if self._noticed:
             noticed = list(self._noticed)
             self._noticed.clear()
-            for name in noticed:
-                if name not in self._entries:
+            attached = [
+                entry
+                for entry in (
                     self._try_attach(name)
+                    for name in noticed
+                    if name not in self._entries
+                )
+                if entry is not None
+            ]
+            if attached:
+                self._load_rows(attached)
         if self._free:
             self._compact()
 
@@ -503,10 +506,11 @@ class BatchedTickEngine:
             return "qa_policy"
         return None
 
-    def _try_attach(self, name: str) -> None:
+    def _try_attach(self, name: str) -> "_Entry | None":
+        """Give *name* a row if it is eligible; the caller loads it."""
         state = self._fleet._streams.get(name)
         if state is None or self.fallback_reason(state) is not None:
-            return
+            return None
         if self._free:
             self._free.sort()
             row = self._free.pop(0)
@@ -519,45 +523,107 @@ class BatchedTickEngine:
         self._rows[row] = entry
         self._entries[name] = entry
         self.layout += 1
-        predictor = state.predictor
-        pipeline = predictor._runner.pipeline
-        self._mu[row] = pipeline.normalizer.mean
-        self._sigma[row] = pipeline.normalizer.std
-        if pipeline.pca is not None:
-            self._pmean[row] = pipeline.pca.mean_
-            self._pcomp[row] = pipeline.pca.components_
-        ar = predictor._runner.pool[1]
-        self._ar_phi[row] = ar.coefficients_
-        self._ar_mu[row] = ar.mean_
-        self._tails[row] = predictor._tail(self._window + 1)
-        self._sqring[row] = 0.0
-        count = self._sqn[row] = len(predictor._recent_sq)
-        if count:
-            self._sqring[row, self._smoothing - count :] = np.stack(
-                list(predictor._recent_sq), axis=0
-            )
-        self._reload_qa(entry)
-        self._reload_memory(entry)
-        clf = entry.classifier
-        self._auto_tree[row] = (
-            clf.algorithm == "auto" and self._n_features <= _AUTO_TREE_MAX_DIM
-        )
-        self._jn[row] = 0
-        self._dticks[row] = 0
-        self._dlearned[row] = 0
-        self._dsel[row] = 0
-        self._dirty[row] = False
-        self._pdirty[row] = False
-        pending = state.pending
-        valid = (
-            pending is not None
-            and state.pending_at == predictor.history_length
-        )
-        self._pend_valid[row] = valid
-        if valid:
-            self._pend_value[row] = pending.value
-            self._pend_norm[row] = pending.normalized_value
-            self._pend_label[row] = pending.predictor_label
+        return entry
+
+    def swap(self, names, *, params) -> list:
+        """Reload the rows of *names* in place from their new predictors.
+
+        The retrain swap: the fleet settles each row's stream state,
+        installs the (re)trained predictor, acknowledges the QA, and
+        hands the whole round here instead of a release/notice/attach
+        round trip per stream — the rows keep their slots, the engine
+        layout is unchanged, and only what a retrain replaces is
+        reloaded, for all rows at once: the tail, the labelling, memory
+        and QA rings, the pending flag, and for the names whose
+        *params* flag is set (cold fits) the normalizer, PCA and AR
+        rows too. A relabel keeps the frozen parameters bitwise, so
+        its parameter rows stay as they are. The result equals a fresh
+        attach of each stream.
+
+        Returns the names that keep no row: the unserved ones (the
+        caller notices them for a later attach) and any whose new
+        memory would resolve to the KD-tree backend (released here).
+        Every other eligibility condition is a fleet-wide property the
+        old predictor already met and a predictor built from the fleet
+        config shares.
+        """
+        rowless = []
+        entries = []
+        refit = []
+        for name, cold in zip(names, params):
+            old = self._entries.get(name)
+            if old is None:
+                rowless.append(name)
+                continue
+            state = old.state
+            if state.predictor._classifier._resolve_backend() != "brute":
+                self.release(name)
+                rowless.append(name)
+                continue
+            # A fresh entry, so a demotion queued for the old memory
+            # cannot hand the new one back.
+            entry = _Entry(name, state, old.row)
+            self._rows[old.row] = entry
+            self._entries[name] = entry
+            (refit if cold else entries).append(entry)
+        if refit:
+            self._load_rows(refit)
+        if entries:
+            self._load_rows(entries, params=False)
+        return rowless
+
+    def _load_rows(self, entries: list, *, params: bool = True) -> None:
+        """Load streams' objects into their rows, in bulk (attach and
+        swap); ``params=False`` keeps the parameter rows."""
+        rows = np.array([e.row for e in entries], dtype=np.intp)
+        predictors = [e.predictor for e in entries]
+        if params:
+            pipelines = [p._runner.pipeline for p in predictors]
+            self._mu[rows] = [pl.normalizer.mean for pl in pipelines]
+            self._sigma[rows] = [pl.normalizer.std for pl in pipelines]
+            if pipelines[0].pca is not None:
+                self._pmean[rows] = np.stack(
+                    [pl.pca.mean_ for pl in pipelines]
+                )
+                self._pcomp[rows] = np.stack(
+                    [pl.pca.components_ for pl in pipelines]
+                )
+            ars = [p._runner.pool[1] for p in predictors]
+            self._ar_phi[rows] = np.stack([ar.coefficients_ for ar in ars])
+            self._ar_mu[rows] = [ar.mean_ for ar in ars]
+        w, L = self._window, self._smoothing
+        self._tails[rows] = np.stack([p._tail(w + 1) for p in predictors])
+        self._sqring[rows] = 0.0
+        counts = [len(p._recent_sq) for p in predictors]
+        self._sqn[rows] = counts
+        for row, p, count in zip(rows.tolist(), predictors, counts):
+            if count:
+                self._sqring[row, L - count :] = np.stack(
+                    list(p._recent_sq), axis=0
+                )
+        self._reload_qa(entries, rows)
+        self._reload_memory(entries, rows)
+        small = self._n_features <= _AUTO_TREE_MAX_DIM
+        self._auto_tree[rows] = [
+            small and e.classifier.algorithm == "auto" for e in entries
+        ]
+        for arr in (self._jn, self._dticks, self._dlearned, self._dsel):
+            arr[rows] = 0
+        self._dirty[rows] = False
+        self._pdirty[rows] = False
+        self._pend_valid[rows] = False
+        for e in entries:
+            state = e.state
+            pending = state.pending
+            if (
+                pending is not None
+                and state.pending_at == e.predictor.history_length
+            ):
+                row = e.row
+                self._pend_valid[row] = True
+                self._pend_value[row] = pending.value
+                self._pend_norm[row] = pending.normalized_value
+                self._pend_label[row] = pending.predictor_label
 
     def note_pending(self, name: str, fc: Forecast) -> None:
         """Adopt a per-stream forecast as *name*'s pending one."""
@@ -572,36 +638,44 @@ class BatchedTickEngine:
 
     # -- memory and QA loads --------------------------------------------------
 
-    def _reload_memory(self, entry: _Entry) -> None:
-        clf = entry.classifier
-        lo, hi = clf.discarded_total_, clf.appended_total_
-        if hi - lo > self._mem_cap:
-            self._grow_memory(hi - lo)
-        row = entry.row
-        abs_idx = np.arange(lo, hi, dtype=np.int64)
+    def _reload_memory(self, entries: list, rows: np.ndarray) -> None:
+        """Load the memories of *entries* (rows *rows*) into the ring."""
+        clfs = [e.classifier for e in entries]
+        lo = np.array([c.discarded_total_ for c in clfs], dtype=np.int64)
+        hi = np.array([c.appended_total_ for c in clfs], dtype=np.int64)
+        lengths = hi - lo
+        if int(lengths.max()) > self._mem_cap:
+            self._grow_memory(int(lengths.max()))
+        X = np.concatenate([c._X for c in clfs])
+        # Absolute index of every stacked row, and its row and slot.
+        offsets = np.cumsum(lengths) - lengths
+        abs_idx = np.arange(X.shape[0], dtype=np.int64) + np.repeat(
+            lo - offsets, lengths
+        )
+        owner = np.repeat(rows, lengths)
         slots = abs_idx % self._mem_cap
-        self._mem_abs[row] = -1
-        self._mem_abs[row, slots] = abs_idx
-        self._mem_bb[row] = np.inf
-        self._mem_x[row, slots] = clf._X
-        self._mem_y[row, slots] = clf._y
-        self._mem_bb[row, slots] = np.einsum("ij,ij->i", clf._X, clf._X)
-        self._mem_lo[row] = lo
-        self._mem_hi[row] = hi
+        self._mem_abs[rows] = -1
+        self._mem_abs[owner, slots] = abs_idx
+        self._mem_bb[rows] = np.inf
+        self._mem_x[owner, slots] = X
+        self._mem_y[owner, slots] = np.concatenate([c._y for c in clfs])
+        self._mem_bb[owner, slots] = np.einsum("ij,ij->i", X, X)
+        self._mem_lo[rows] = lo
+        self._mem_hi[rows] = hi
 
-    def _reload_qa(self, entry: _Entry) -> None:
-        """Load one stream's QA error window into the stacked ring."""
-        qa = entry.qa
-        row = entry.row
+    def _reload_qa(self, entries: list, rows: np.ndarray) -> None:
+        """Load the QA error windows of *entries* into the stacked ring."""
+        qas = [e.qa for e in entries]
         w = self._qa_window
-        count = len(qa._sq_errors)
-        self._qa_ring[row] = 0.0
-        if count:
-            self._qa_ring[row, w - count :] = qa._sq_errors
-        self._qa_count[row] = count
-        self._qa_step[row] = qa._step
-        self._qa_sum[row] = qa._sq_sum
-        self._qa_due[row] = qa._retraining_due
+        counts = [len(qa._sq_errors) for qa in qas]
+        self._qa_ring[rows] = 0.0
+        for row, qa, count in zip(rows.tolist(), qas, counts):
+            if count:
+                self._qa_ring[row, w - count :] = qa._sq_errors
+        self._qa_count[rows] = counts
+        self._qa_step[rows] = [qa._step for qa in qas]
+        self._qa_sum[rows] = [qa._sq_sum for qa in qas]
+        self._qa_due[rows] = [qa._retraining_due for qa in qas]
 
     # -- settling -------------------------------------------------------------
 
@@ -623,7 +697,13 @@ class BatchedTickEngine:
                     if self._rows[r] is not None]
         else:
             entries = self._entries
-            rows = [entries[name].row for name in names if name in entries]
+            dirty = self._dirty
+            pdirty = self._pdirty if predictors else dirty
+            rows = [
+                row
+                for row in (entries[n].row for n in names if n in entries)
+                if dirty[row] or pdirty[row]
+            ]
         if rows:
             self._settle_rows(
                 np.array(rows, dtype=np.intp), predictors=predictors
@@ -695,7 +775,7 @@ class BatchedTickEngine:
             predictor = entry.predictor
             state = entry.state
             if jn[j]:
-                predictor._history.extend(self._jv[r, : jn[j]].tolist())
+                predictor._history.extend(self._jv[r, : jn[j]])
             state.ticks += dticks[j]
             if predictors:
                 if dlearned[j]:
@@ -750,9 +830,9 @@ class BatchedTickEngine:
             )
 
     def _flush_history(self, rows: np.ndarray) -> None:
-        """Move full history journals into the predictors' deques."""
+        """Move full history journals into the predictors' histories."""
         for r in rows.tolist():
-            self._rows[r].predictor._history.extend(self._jv[r].tolist())
+            self._rows[r].predictor._history.extend(self._jv[r])
         self._jn[rows] = 0
 
     # -- batched kernels ----------------------------------------------------

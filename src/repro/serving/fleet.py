@@ -462,7 +462,7 @@ class _FleetInstruments:
         "ticks", "observations", "forecasts", "audits", "breaches",
         "trains", "retrains", "deferrals", "streams", "trained", "pending",
         "inflight", "cache_hits", "cache_misses", "cache_spliced",
-        "memory_slots", "memory_live_ratio", "fallback",
+        "memory_slots", "memory_live_ratio", "fallback", "retrain_seconds",
     )
 
     def __init__(self, registry):
@@ -491,6 +491,10 @@ class _FleetInstruments:
         self.deferrals = registry.counter(
             "repro_fleet_retrain_deferrals_total",
             "Times the retrain budget passed over a due stream.",
+        )
+        self.retrain_seconds = registry.histogram(
+            "repro_fleet_retrain_seconds",
+            "Wall time per run_pending_retrains call.",
         )
         self.cache_hits = registry.counter(
             "repro_fleet_label_cache_hits_total",
@@ -1070,6 +1074,15 @@ class PredictionFleet:
             raise ConfigurationError(
                 f"budget must be >= 0 or None, got {budget}"
             )
+        if self._tel is None:
+            return self._run_retrains(budget, batched)
+        t0 = perf_counter()
+        try:
+            return self._run_retrains(budget, batched)
+        finally:
+            self._m.retrain_seconds.observe(perf_counter() - t0)
+
+    def _run_retrains(self, budget, batched: bool) -> tuple[str, ...]:
         if self.config.retrain_mode == "async":
             return self._run_retrains_async(budget, batched)
         due = self._take_due(budget)
@@ -1118,6 +1131,13 @@ class PredictionFleet:
         self-contained: the synchronous path executes it immediately,
         the asynchronous pipeline ships it to the pool.
         """
+        tel = self._tel
+        if tel is None:
+            return self._partition(due)
+        with tel.tracer.span("train.partition", batch=len(due)):
+            return self._partition(due)
+
+    def _partition(self, due: tuple[str, ...]) -> "_BurstPlan":
         cfg = self.config
         if self._engine is not None:
             # Only the stream state and history: the predictors whose
@@ -1218,26 +1238,39 @@ class PredictionFleet:
             for name, result in zip(plan.inc_names, results):
                 relabels[name] = result
                 new_predictors[name] = result.predictor
-        for name in due:
-            state = self._streams[name]
-            was_retrain = self._integrate_stream(
-                state,
-                new_predictors[name],
-                relabels.get(name),
-                plan.windows[name],
-                plan.miss_reasons.get(name),
-                plan.params_fps.get(name),
-            )
-            if tel is not None:
-                tel.events.emit(
-                    "retrain_complete" if was_retrain else "train_complete",
-                    tick=self._due_seq,
-                    stream=name,
+        span = (
+            tel.tracer.span("train.install", batch=len(due))
+            if tel is not None
+            else nullcontext()
+        )
+        with span:
+            swaps: list = []
+            for name in due:
+                state = self._streams[name]
+                was_retrain = self._integrate_stream(
+                    state,
+                    new_predictors[name],
+                    relabels.get(name),
+                    plan.windows[name],
+                    plan.miss_reasons.get(name),
+                    plan.params_fps.get(name),
+                    swaps,
                 )
+                if tel is not None:
+                    tel.events.emit(
+                        "retrain_complete" if was_retrain else "train_complete",
+                        tick=self._due_seq,
+                        stream=name,
+                    )
+            self._swap_in(swaps)
+            # The relabel tasks hold the last references to the
+            # outgoing models; dropping them here times their teardown
+            # as part of the install.
+            plan.inc_tasks.clear()
         return due
 
     def _integrate_stream(
-        self, state, predictor, result, window, miss_reason, params_fp
+        self, state, predictor, result, window, miss_reason, params_fp, swaps
     ) -> bool:
         """Swap *predictor* in with full retrain bookkeeping.
 
@@ -1246,10 +1279,18 @@ class PredictionFleet:
         here, so cache bookkeeping, QA acknowledgement, and counters
         cannot diverge between the modes. Returns whether the swap was
         a retrain (vs. an initial train).
+
+        A stream the batched engine serves keeps its engine row: the
+        row's stream state is settled first (its outgoing predictor's
+        learned state is discarded with it), and the stream is appended
+        to *swaps* as ``(name, cold)``; :meth:`_swap_in` then reloads
+        the whole round's rows in place — only the rings a relabel
+        replaces, plus the parameter rows after a cold fit.
         """
         engine = self._engine
-        if engine is not None:
-            engine.release(state.name, predictor=False)
+        served = engine is not None and engine.serves(state.name)
+        if served:
+            engine.settle((state.name,), predictors=False)
         was_retrain = state.predictor is not None
         if was_retrain:
             state.retrain_count += 1
@@ -1273,18 +1314,29 @@ class PredictionFleet:
                 params_fp,
             )
         state.predictor = predictor
-        if engine is not None:
-            engine.notice(state.name)
-        self._roster_seq += 1
         state.epoch = self._next_epoch()
         state.buffer.clear()
         state.pending = None
         state.pending_at = -1
         state.qa.acknowledge_retraining()
         self._clear_due(state)
+        if served:
+            swaps.append((state.name, result is None))
+        elif engine is not None:
+            engine.notice(state.name)
+            self._roster_seq += 1
         if self._tel is not None:
             (self._m.retrains if was_retrain else self._m.trains).inc()
         return was_retrain
+
+    def _swap_in(self, swaps: list) -> None:
+        """Reload the engine rows of the streams one round integrated."""
+        if not swaps:
+            return
+        names, cold = zip(*swaps)
+        for name in self._engine.swap(names, params=cold):
+            self._engine.notice(name)
+            self._roster_seq += 1
 
     def _run_retrains_async(self, budget, batched) -> tuple[str, ...]:
         """One async-mode round: drain what finished, submit what's due.
@@ -1340,16 +1392,24 @@ class PredictionFleet:
                 else nullcontext()
             )
             with span:
+                if self._engine is not None:
+                    # One bulk settle of the rows about to swap, instead
+                    # of one single-row settle per integration.
+                    self._engine.settle(
+                        [rec.name for rec, _, _ in ready], predictors=False
+                    )
+                swaps: list = []
                 for rec, predictor, result in ready:
-                    if self._integrate_async(rec, predictor, result):
+                    if self._integrate_async(rec, predictor, result, swaps):
                         integrated.append(rec.name)
+                self._swap_in(swaps)
         if tel is not None:
             self._m.inflight.set(pipe.inflight)
         if failed:
             integrated.extend(self._requeue_failed(failed, batched))
         return tuple(integrated)
 
-    def _integrate_async(self, rec, predictor, result) -> bool:
+    def _integrate_async(self, rec, predictor, result, swaps) -> bool:
         """Integrate one drained burst result (or drop it as stale)."""
         tel = self._tel
         state = self._streams.get(rec.name)
@@ -1377,7 +1437,7 @@ class PredictionFleet:
         predictor.observe_many(rec.replay)
         was_retrain = self._integrate_stream(
             state, predictor, result, rec.window, rec.miss_reason,
-            rec.params_fp,
+            rec.params_fp, swaps,
         )
         if tel is not None:
             tel.events.emit(

@@ -15,6 +15,12 @@ Layout: one directory per fleet —
   have, so the tails travel with it (fingerprints live in the
   manifest).
 
+The manifest is written to a temporary file in the same directory and
+moved into place with :func:`os.replace`, so a reader sees either the
+old manifest or the new one, never a torn one. Archives the new
+manifest does not name (a fleet saved over a larger one) are deleted
+after it lands.
+
 Everything is JSON + ``.npz`` — no pickle — so a fleet directory is
 safe to load from untrusted sources, and a restored fleet resumes with
 exactly the forecasts the original would have produced (the pending
@@ -25,6 +31,8 @@ on the next read).
 from __future__ import annotations
 
 import json
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +52,8 @@ FLEET_FORMAT_VERSION = 1
 
 _MANIFEST = "fleet.json"
 _STREAM_DIR = "streams"
+#: The archive names save_fleet writes — the only files it ever deletes.
+_ARCHIVE_RE = re.compile(r"^(stream|cache)_\d+\.npz$")
 
 
 def _fleet_config_meta(config) -> dict:
@@ -201,7 +211,23 @@ def save_fleet(fleet, directory) -> None:
         "deferred_retrains": fleet._deferred_total,
         "streams": streams,
     }
-    (directory / _MANIFEST).write_text(json.dumps(manifest, indent=2))
+    tmp = directory / (_MANIFEST + ".tmp")
+    tmp.write_text(json.dumps(manifest, indent=2))
+    os.replace(tmp, directory / _MANIFEST)
+    _remove_unnamed_archives(stream_dir, streams)
+
+
+def _remove_unnamed_archives(stream_dir: Path, streams: list) -> None:
+    """Delete the archives in *stream_dir* the manifest does not name."""
+    named = set()
+    for entry in streams:
+        if entry["archive"] is not None:
+            named.add(Path(entry["archive"]).name)
+        if entry["label_cache"] is not None:
+            named.add(Path(entry["label_cache"]["archive"]).name)
+    for path in stream_dir.iterdir():
+        if _ARCHIVE_RE.match(path.name) and path.name not in named:
+            path.unlink()
 
 
 def load_fleet(directory, *, telemetry=None):

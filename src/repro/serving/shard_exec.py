@@ -144,13 +144,15 @@ class _WorkerTelemetry:
 class WorkerConfig:
     """The slice of a fleet config the compute kernels actually read.
 
-    ``max_memory`` / ``history_limit`` stay behind in the parent — they
-    only matter when predictors are assembled, which never happens in a
-    worker.
+    ``max_memory`` sets how many of each stream's newest memory rows
+    the kernels build features for; ``history_limit`` stays behind in
+    the parent — it only matters when predictors are assembled, which
+    never happens in a worker.
     """
 
     lar: object
     label_smoothing: int
+    max_memory: int | None
 
 
 @dataclass(frozen=True)
@@ -203,27 +205,8 @@ def _train_shard_body(task, engine, rows, started, collector) -> ShardResult:
     with shm.attach() as attachment:
         histories = attachment.array(task.inputs["histories"])[rows]
         fit = engine._compute_train_group(histories)
-        for key in (
-            "norm_means",
-            "norm_stds",
-            "ar_means",
-            "ar_phi",
-            "ar_noise",
-            "frames",
-            "targets",
-            "labels",
-            "counts",
-        ):
-            attachment.array(task.outputs[key])[rows] = getattr(fit, key)
-        if "features" in task.outputs:
-            for key in (
-                "features",
-                "pca_means",
-                "pca_components",
-                "pca_explained_variance",
-                "pca_explained_variance_ratio",
-            ):
-                attachment.array(task.outputs[key])[rows] = getattr(fit, key)
+        for key, spec in task.outputs.items():
+            attachment.array(spec)[rows] = getattr(fit, key)
     return ShardResult(perf_counter() - started, tuple(collector.phases))
 
 
@@ -246,8 +229,8 @@ def relabel_group_async(config: WorkerConfig, inputs) -> tuple:
 
     *inputs* is a :class:`~repro.serving.trainer.RelabelGroupInputs`
     snapshot taken at submission time. Returns the raw
-    ``(frames, targets, sq, labels, counts, features)`` tuple for the
-    parent to assemble into predictors at drain.
+    ``(sq, labels, counts, rows)`` tuple for the parent to assemble
+    into predictors at drain.
     """
     return _engine(config)._compute_relabel_group(
         inputs.histories,
@@ -294,26 +277,19 @@ def _relabel_shard_body(task, engine, rows, started, collector) -> ShardResult:
             # sliced out of each stream's CachedLabels tail.
             cached_sq = list(arr("cached_sq"))
             cached_labels = list(arr("cached_labels"))
-        frames, targets, sq, labels, counts, features = (
-            engine._compute_relabel_group(
-                arr("histories"),
-                arr("norm_means"),
-                arr("norm_stds"),
-                arr("ar_phi"),
-                arr("ar_means"),
-                task.plan,
-                cached_sq,
-                cached_labels,
-                task.sw_window,
-                pca_means,
-                pca_components,
-            )
+        computed = engine._compute_relabel_group(
+            arr("histories"),
+            arr("norm_means"),
+            arr("norm_stds"),
+            arr("ar_phi"),
+            arr("ar_means"),
+            task.plan,
+            cached_sq,
+            cached_labels,
+            task.sw_window,
+            pca_means,
+            pca_components,
         )
-        attachment.array(task.outputs["frames"])[rows] = frames
-        attachment.array(task.outputs["targets"])[rows] = targets
-        attachment.array(task.outputs["sq"])[rows] = sq
-        attachment.array(task.outputs["labels"])[rows] = labels
-        attachment.array(task.outputs["counts"])[rows] = counts
-        if features is not None:
-            attachment.array(task.outputs["features"])[rows] = features
+        for key, value in zip(("sq", "labels", "counts", "rows"), computed):
+            attachment.array(task.outputs[key])[rows] = value
     return ShardResult(perf_counter() - started, tuple(collector.phases))

@@ -15,16 +15,18 @@ matrices, and per group:
 * the z-score fit is one broadcast ``mean``/``std`` over rows
   (:func:`repro.preprocess.stacked.fit_stacked_normalizer`);
 * framing is one strided-view copy into a contiguous ``(S, N, m)``
-  tensor;
+  tensor (the labelling pass and the PCA fit need every frame);
 * the pool's labelling pass is one ``(S, N, 3)`` prediction tensor
   (:func:`repro.predictors.stacked.paper_pool_predict_frames_stacked`)
   plus a batched centered-window MSE smoothing and a single argmin;
 * the PCA fits are one stacked covariance ``matmul`` plus one
   ``np.linalg.eigh`` gufunc call over ``(S, m, m)``
   (:func:`repro.preprocess.stacked.fit_stacked_pca`);
-* each stream's k-NN growth-buffer memory is constructed directly from
-  its precomputed feature/label rows
-  (:meth:`repro.learn.knn.KNNClassifier.from_rows`).
+* features and label counts are computed only for the rows that
+  survive the ``max_memory`` trim, and each stream's k-NN growth-buffer
+  memory is constructed directly from those rows
+  (:meth:`repro.learn.knn.KNNClassifier.from_rows` with ``discarded=``
+  the number of older rows the trim retires).
 
 Only the Yule–Walker solve stays a per-stream loop: its Levinson–Durbin
 recursion is O(p^2) on tiny inputs, and reusing
@@ -73,7 +75,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.online import FittedParts, OnlineLARPredictor, RelabelResult
+from repro.core.online import (
+    FittedParts,
+    OnlineLARPredictor,
+    RelabelResult,
+    survivor_count,
+)
 from repro.core.relabel import SplicePlan, plan_splice, relabel_group
 from repro.exceptions import ConfigurationError, DataError
 from repro.parallel.pool_exec import (
@@ -160,6 +167,9 @@ class GroupFit(NamedTuple):
     needs, predictor-free — the unit that crosses the shard boundary
     (workers fill row slices of these tensors in the output arena) and
     the unit the shard-parity property tests compare bit-for-bit.
+    ``features``, ``labels`` and ``counts`` cover only the ``(S, M)``
+    memory rows that survive the ``max_memory`` trim (the last M
+    frames).
     """
 
     norm_means: np.ndarray
@@ -167,8 +177,6 @@ class GroupFit(NamedTuple):
     ar_means: np.ndarray
     ar_phi: np.ndarray
     ar_noise: np.ndarray
-    frames: np.ndarray
-    targets: np.ndarray
     features: np.ndarray
     labels: np.ndarray
     counts: np.ndarray
@@ -263,6 +271,12 @@ class BatchedTrainEngine:
         self._supported = (
             self._lar.min_variance is None and not self._lar.extended_pool
         )
+        # Fixed component counts: a relabel group projects its features
+        # through the stacked frozen bases; ragged (min_variance) bases
+        # are projected per stream at assembly.
+        self._stacked_basis = (
+            self._lar.n_components is not None and self._lar.min_variance is None
+        )
         # Recycled burst-local tensors, keyed by role. Only arrays that
         # never escape into the built predictors live here (error/cumsum
         # scratch, AR work arrays, the PCA centering buffer) — anything
@@ -272,6 +286,16 @@ class BatchedTrainEngine:
         # hand back to the OS after every burst, so a drift storm of
         # same-sized bursts repays the page faults each time.
         self._scratch: dict[str, np.ndarray] = {}
+
+    def _worker_config(self):
+        """The picklable config slice worker-side kernels read."""
+        from repro.serving.shard_exec import WorkerConfig
+
+        return WorkerConfig(
+            lar=self._lar,
+            label_smoothing=self._config.label_smoothing,
+            max_memory=self._config.max_memory,
+        )
 
     def _span(self, name: str, batch: int):
         """A tracing span when telemetry is wired, else the shared no-op."""
@@ -442,7 +466,6 @@ class BatchedTrainEngine:
         burst packs at submission and the predictors are free to keep
         serving — later observations never touch frozen parameters.
         """
-        lar = self._lar
         histories = np.stack([item[2] for item in items], axis=0)
         predictors = [item[1] for item in items]
         plan = items[0][3]
@@ -480,7 +503,7 @@ class BatchedTrainEngine:
         # same per-slice gemm the per-stream ``pca.transform`` issues.
         # Ragged bases (min_variance) keep the per-stream loop below.
         pca_means = pca_components = None
-        if lar.n_components is not None and lar.min_variance is None:
+        if self._stacked_basis:
             pca_means = np.stack([r.pipeline.pca.mean_ for r in runners])
             pca_components = np.stack(
                 [r.pipeline.pca.components_ for r in runners]
@@ -526,19 +549,18 @@ class BatchedTrainEngine:
         lar = self._lar
         cfg = self._config
         smooth = cfg.label_smoothing
-        frames, targets, sq, labels, counts, features_stack = computed
+        sq, labels, counts, rows = computed
         counts_rows = counts.tolist()
+        lo = labels.shape[1] - rows.shape[1]
         for s, (index, predictor, arr, task_plan, _cached) in enumerate(items):
             pipeline = predictor._runner.pipeline
             normalizer = pipeline.normalizer
             ar = predictor._runner.pool[1]
             pca = pipeline.pca
-            if features_stack is not None:
-                features = features_stack[s]
-            elif pca is not None:
-                features = pca.transform(frames[s])
+            if pca is not None and not self._stacked_basis:
+                features = pca.transform(rows[s])
             else:
-                features = frames[s]
+                features = rows[s]
             parts = FittedParts(
                 history=arr,
                 norm_mean=normalizer.mean,
@@ -546,10 +568,9 @@ class BatchedTrainEngine:
                 ar_mean=ar.mean_,
                 ar_coefficients=ar.coefficients_,
                 ar_noise_variance=ar.noise_variance_,
-                frames=frames[s],
-                targets=targets[s],
                 features=features,
-                labels=labels[s],
+                labels=labels[s, lo:],
+                discarded=lo,
                 pca_mean=None if pca is None else pca.mean_,
                 pca_components=None if pca is None else pca.components_,
                 pca_explained_variance=(
@@ -601,14 +622,20 @@ class BatchedTrainEngine:
         Pure stacked computation on frozen parameters — no predictor
         objects, so this is the unit workers run on their row slice
         (and the unit the shard-parity property tests partition).
-        Returns ``(frames, targets, sq, labels, counts, features)``
-        where ``features`` is ``None`` unless a stacked projection
-        applies (fixed component counts).
+        Returns ``(sq, labels, counts, rows)``: the full ``(S, N, 3)``
+        errors and ``(S, N)`` labels the label cache stores, then label
+        counts and memory rows for the ``M`` frames that survive the
+        ``max_memory`` trim only. ``rows`` is ``(S, M, d)`` — the
+        projected features when the group shares a component count (or
+        the frames themselves with PCA off), else the z-scored frames
+        for a per-stream projection at assembly.
         """
         lar = self._lar
-        n_streams = histories.shape[0]
+        n_streams, length = histories.shape
+        n_frames = length - lar.window
+        lo = n_frames - survivor_count(n_frames, self._config.max_memory)
         with self._span("train.relabel", n_streams):
-            frames, targets, sq, labels = relabel_group(
+            frames, _, sq, labels = relabel_group(
                 histories,
                 norm_means,
                 norm_stds,
@@ -621,23 +648,26 @@ class BatchedTrainEngine:
                 cached_sq=cached_sq,
                 cached_labels=cached_labels,
                 sums_out=self._scratch_buf(
-                    "relabel_sums",
-                    (n_streams, histories.shape[1] - lar.window, 3),
+                    "relabel_sums", (n_streams, n_frames, 3)
                 ),
             )
-            counts = _count_labels_rows(labels, sq.shape[2])
-        features = None
-        if pca_means is not None:
-            with self._span("train.relabel_project", n_streams):
+            counts = _count_labels_rows(labels[:, lo:], sq.shape[2])
+        # Only the survivors reach the classifiers: project (or copy)
+        # the last M frames straight out of the sliding-window view.
+        survivors = frames[:, lo:]
+        with self._span("train.relabel_project", n_streams):
+            if pca_means is not None:
                 centered = np.subtract(
-                    frames,
+                    survivors,
                     pca_means[:, None, :],
-                    out=self._scratch_buf("relabel_centered", frames.shape),
+                    out=self._scratch_buf(
+                        "relabel_centered", survivors.shape
+                    ),
                 )
-                features = np.matmul(
-                    centered, pca_components.transpose(0, 2, 1)
-                )
-        return frames, targets, sq, labels, counts, features
+                rows = np.matmul(centered, pca_components.transpose(0, 2, 1))
+            else:
+                rows = np.ascontiguousarray(survivors)
+        return sq, labels, counts, rows
 
     def _relabel_group_sharded(
         self,
@@ -668,6 +698,7 @@ class BatchedTrainEngine:
         w = lar.window
         n_streams, length = histories.shape
         n_frames = length - w
+        keep = survivor_count(n_frames, self._config.max_memory)
         f8, i8 = np.float64, np.int64
         in_layout = {
             "histories": ((n_streams, length), f8),
@@ -685,18 +716,13 @@ class BatchedTrainEngine:
                 (n_streams, plan.label_hi - plan.label_lo),
                 i8,
             )
+        width = w if pca_means is None else pca_components.shape[1]
         out_layout = {
-            "frames": ((n_streams, n_frames, w), f8),
-            "targets": ((n_streams, n_frames), f8),
             "sq": ((n_streams, n_frames, _N_POOL), f8),
             "labels": ((n_streams, n_frames), i8),
             "counts": ((n_streams, _N_POOL), i8),
+            "rows": ((n_streams, keep, width), f8),
         }
-        if pca_means is not None:
-            out_layout["features"] = (
-                (n_streams, n_frames, pca_components.shape[1]),
-                f8,
-            )
         in_arena = ShmArena(in_layout)
         out_arena = None
         try:
@@ -718,9 +744,7 @@ class BatchedTrainEngine:
             self._set_shm_bytes(in_arena.nbytes + out_arena.nbytes)
             inputs = {key: in_arena.spec(key) for key in in_layout}
             outputs = {key: out_arena.spec(key) for key in out_layout}
-            worker_cfg = shard_exec.WorkerConfig(
-                lar=lar, label_smoothing=self._config.label_smoothing
-            )
+            worker_cfg = self._worker_config()
             self._run_shards(
                 shard_exec.relabel_shard,
                 lambda lo, hi: shard_exec.RelabelShardTask(
@@ -736,22 +760,16 @@ class BatchedTrainEngine:
                 shards,
                 "relabel",
             )
-            frames = out_arena.array("frames").copy()
-            targets = out_arena.array("targets").copy()
-            sq = out_arena.array("sq").copy()
-            labels = out_arena.array("labels").copy()
-            counts = out_arena.array("counts").copy()
-            features = (
-                out_arena.array("features").copy()
-                if pca_means is not None
-                else None
+            computed = tuple(
+                out_arena.array(key).copy()
+                for key in ("sq", "labels", "counts", "rows")
             )
         finally:
             in_arena.release()
             if out_arena is not None:
                 out_arena.release()
             self._set_shm_bytes(0)
-        return frames, targets, sq, labels, counts, features
+        return computed
 
     def _set_shm_bytes(self, value: int) -> None:
         if self._tel is not None:
@@ -848,7 +866,7 @@ class BatchedTrainEngine:
             )
         if not np.isfinite(histories).all():
             raise DataError("histories contain non-finite value(s)")
-        n_frames = length - w
+        keep = survivor_count(length - w, self._config.max_memory)
         n_components = lar.n_components
         f8, i8 = np.float64, np.int64
         out_layout = {
@@ -857,13 +875,11 @@ class BatchedTrainEngine:
             "ar_means": ((n_streams,), f8),
             "ar_phi": ((n_streams, p), f8),
             "ar_noise": ((n_streams,), f8),
-            "frames": ((n_streams, n_frames, w), f8),
-            "targets": ((n_streams, n_frames), f8),
-            "labels": ((n_streams, n_frames), i8),
+            "features": ((n_streams, keep, n_components or w), f8),
+            "labels": ((n_streams, keep), i8),
             "counts": ((n_streams, _N_POOL), i8),
         }
         if n_components is not None:
-            out_layout["features"] = ((n_streams, n_frames, n_components), f8)
             out_layout["pca_means"] = ((n_streams, w), f8)
             out_layout["pca_components"] = ((n_streams, n_components, w), f8)
             out_layout["pca_explained_variance"] = ((n_streams, n_components), f8)
@@ -879,9 +895,7 @@ class BatchedTrainEngine:
             self._set_shm_bytes(in_arena.nbytes + out_arena.nbytes)
             inputs = {"histories": in_arena.spec("histories")}
             outputs = {key: out_arena.spec(key) for key in out_layout}
-            worker_cfg = shard_exec.WorkerConfig(
-                lar=lar, label_smoothing=self._config.label_smoothing
-            )
+            worker_cfg = self._worker_config()
             self._run_shards(
                 shard_exec.train_shard,
                 lambda lo, hi: shard_exec.TrainShardTask(
@@ -895,7 +909,6 @@ class BatchedTrainEngine:
             def take(key: str) -> np.ndarray:
                 return out_arena.array(key).copy()
 
-            frames = take("frames")
             has_pca = n_components is not None
             fit = GroupFit(
                 norm_means=take("norm_means"),
@@ -903,9 +916,7 @@ class BatchedTrainEngine:
                 ar_means=take("ar_means"),
                 ar_phi=take("ar_phi"),
                 ar_noise=take("ar_noise"),
-                frames=frames,
-                targets=take("targets"),
-                features=take("features") if has_pca else frames,
+                features=take("features"),
                 labels=take("labels"),
                 counts=take("counts"),
                 pca_means=take("pca_means") if has_pca else None,
@@ -941,6 +952,8 @@ class BatchedTrainEngine:
             )
         if not np.isfinite(histories).all():
             raise DataError("histories contain non-finite value(s)")
+        # First memory row that survives the max_memory trim.
+        lo = (length - w) - survivor_count(length - w, self._config.max_memory)
 
         # Broadcast z-score fit + transform (one reduction, one divide).
         with self._span("train.zscore_fit", n_streams):
@@ -978,14 +991,16 @@ class BatchedTrainEngine:
             np.multiply(sq, sq, out=sq)
             n_pool = sq.shape[2]
             labels = self._smoothed_argmin_labels(sq)
-            # Count every stream's label alphabet in one vectorized pass
-            # (labels are 1..n_pool by construction); each classifier
-            # then skips its own counting reduction.
+            # Count every stream's surviving labels in one vectorized
+            # pass (labels are 1..n_pool by construction); each
+            # classifier then skips its own counting reduction.
+            labels = labels[:, lo:]
             counts = _count_labels_rows(labels, n_pool)
 
-        # Batched PCA fits + the stacked feature projection. The fit
-        # already centered the frames for its covariances; projecting
-        # that same tensor skips recomputing ``frames - means``.
+        # Batched PCA fits (over every frame) + the stacked projection
+        # of the surviving rows. The fit already centered the frames
+        # for its covariances; projecting that same tensor skips
+        # recomputing ``frames - means``.
         with self._span("train.pca_eigh", n_streams):
             if lar.n_components is not None:
                 pca = fit_stacked_pca(
@@ -997,11 +1012,11 @@ class BatchedTrainEngine:
                     ),
                 )
                 features = np.matmul(
-                    pca.centered, pca.components.transpose(0, 2, 1)
+                    pca.centered[:, lo:], pca.components.transpose(0, 2, 1)
                 )
             else:
                 pca = None
-                features = frames
+                features = frames[:, lo:]
 
         return GroupFit(
             norm_means=norm.means,
@@ -1009,8 +1024,6 @@ class BatchedTrainEngine:
             ar_means=ar_means,
             ar_phi=ar_phi,
             ar_noise=ar_noise,
-            frames=frames,
-            targets=targets,
             features=features,
             labels=labels,
             counts=counts,
@@ -1030,7 +1043,9 @@ class BatchedTrainEngine:
         """Assemble one predictor per row of a :class:`GroupFit`."""
         lar = self._lar
         cfg = self._config
-        n_streams = histories.shape[0]
+        n_streams, length = histories.shape
+        # Memory rows the max_memory trim retired before the survivors.
+        discarded = length - lar.window - fit.labels.shape[1]
         with self._span("train.rebuild", n_streams):
             # Per-stream scalars as plain floats in one pass each
             # (indexing a Python list beats boxing a NumPy scalar 500
@@ -1051,10 +1066,9 @@ class BatchedTrainEngine:
                     ar_mean=ar_means_list[s],
                     ar_coefficients=fit.ar_phi[s],
                     ar_noise_variance=ar_noise_list[s],
-                    frames=fit.frames[s],
-                    targets=fit.targets[s],
                     features=fit.features[s],
                     labels=fit.labels[s],
+                    discarded=discarded,
                     pca_mean=fit.pca_means[s] if has_pca else None,
                     pca_components=fit.pca_components[s] if has_pca else None,
                     pca_explained_variance=(

@@ -1,11 +1,10 @@
 """Unit tests for the online (incremental) LARPredictor."""
 
-from collections import deque
-
 import numpy as np
 import pytest
 
 from repro.core.config import LARConfig
+from repro.core.history import HistoryBuffer
 from repro.core.larpredictor import LARPredictor
 from repro.core.online import OnlineLARPredictor
 from repro.exceptions import ConfigurationError, NotFittedError
@@ -116,31 +115,33 @@ class TestForecast:
         assert o.is_trained
 
 
-class _AccessCountingDeque(deque):
-    """Deque that counts every element touched, whatever the protocol.
+class _AccessCountingHistory(HistoryBuffer):
+    """History store that counts every stored value it hands out.
 
-    Any O(history) code path (``np.asarray``, ``list(...)``, a full
-    loop) must touch every stored element through one of these hooks,
-    so the counter is a deterministic proxy for per-step work.
+    The store's values leave it only through :meth:`values`,
+    :meth:`tail` and iteration, so the counter is a deterministic proxy
+    for per-step work: any O(history) read path (a full snapshot, a
+    loop over the values) shows up as the whole history length.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.touched = 0
 
+    def values(self):
+        out = super().values()
+        self.touched += out.shape[0]
+        return out
+
+    def tail(self, n):
+        out = super().tail(n)
+        self.touched += out.shape[0]
+        return out
+
     def __iter__(self):
-        for value in super().__iter__():
+        for value in super().values().tolist():
             self.touched += 1
             yield value
-
-    def __reversed__(self):
-        for value in super().__reversed__():
-            self.touched += 1
-            yield value
-
-    def __getitem__(self, index):
-        self.touched += 1
-        return super().__getitem__(index)
 
 
 class TestPerStepCost:
@@ -152,7 +153,7 @@ class TestPerStepCost:
         series = ar1_series(300, phi=0.9, seed=21)
         o = OnlineLARPredictor(LARConfig(window=5)).train(series[:200])
         rng = np.random.default_rng(22)
-        pad = _AccessCountingDeque(o._history)
+        pad = _AccessCountingHistory(o.recent_history())
         pad.extend(rng.normal(10.0, 2.0, size=history_length - len(pad)))
         o._history = pad
         return o, pad

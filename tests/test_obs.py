@@ -527,7 +527,13 @@ class TestFleetTelemetry:
                 if not family.name.startswith("repro_fleet_"):
                     continue  # span metrics differ per path by design
                 for labels, child in sorted(family.children.items()):
-                    out[(family.name, labels)] = child.value
+                    # Wall-time histograms (repro_fleet_retrain_seconds)
+                    # differ per path; their call counts must not.
+                    out[(family.name, labels)] = (
+                        child.count
+                        if family.kind == "histogram"
+                        else child.value
+                    )
             return out
 
         assert fleet_counters(batched) == fleet_counters(loop)
@@ -566,7 +572,13 @@ class TestFleetTelemetry:
                 if not family.name.startswith("repro_fleet_"):
                     continue
                 for labels, child in sorted(family.children.items()):
-                    out[(family.name, labels)] = child.value
+                    # Wall-time histograms (repro_fleet_retrain_seconds)
+                    # differ per path; their call counts must not.
+                    out[(family.name, labels)] = (
+                        child.count
+                        if family.kind == "histogram"
+                        else child.value
+                    )
             return out
 
         assert fleet_counters(fast) == fleet_counters(legacy)
